@@ -21,7 +21,7 @@ from .core import is_distributive, is_modular, product
 from .errors import LatticeError, SizeLimitExceeded
 from .terms import BUILTIN_CLASSES, parse_identity_file
 from .textfmt import dump_lattice_text, parse_congruence_text, parse_lattice_text, to_dot
-from .variety import kappa, verify_theorem1, verify_theorem2, verify_theorem3
+from .variety import check_work, kappa, verify_theorem1, verify_theorem2, verify_theorem3
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -51,7 +51,7 @@ def load_class(args):
 
 def load_congruence(lat, text, args):
     if text in ("delta", "kappa"):
-        return kappa(lat, load_class(args))
+        return kappa(lat, load_class(args), max_work=args.max_work)
     return congruence_from_blocks(lat, parse_congruence_text(text))
 
 
@@ -105,7 +105,7 @@ def principal_generator(lat, theta):
 def cmd_delta(args):
     lat = load_lattice(args.lattice)
     spec = load_class(args)
-    kap = kappa(lat, spec)
+    kap = kappa(lat, spec, max_work=args.max_work)
     pair = principal_generator(lat, kap)
     lines = [
         f"kappa={kap.render(lat)}",
@@ -149,6 +149,13 @@ def cmd_congruences(args):
 def cmd_check(args):
     spec = load_class(args)
     lat = load_lattice(args.lattice)
+    other = None
+    if args.theorem == 3:
+        if not args.other:
+            raise LatticeError("check --theorem 3 needs two lattices")
+        other = load_lattice(args.other)
+    # the largest lattice kappa sweeps: L, or the product for theorem 3
+    check_work(len(lat) * (len(other) if other else 1), spec, args.max_work)
     reports = []
     if args.theorem == 1:
         reports.append(verify_theorem1(lat, spec, max_size=args.max_con))
@@ -163,9 +170,7 @@ def cmd_check(args):
         for theta in thetas:
             reports.append(verify_theorem2(lat, theta, spec))
     else:
-        if not args.other:
-            raise LatticeError("check --theorem 3 needs two lattices")
-        reports.append(verify_theorem3(lat, load_lattice(args.other), spec, max_size=args.max_con))
+        reports.append(verify_theorem3(lat, other, spec, max_size=args.max_con))
     ok = all(r.ok for r in reports)
     lines = []
     for r in reports:
@@ -213,6 +218,9 @@ def _add_class(sub):
                      help="built-in equational class (default distributive)")
     sub.add_argument("--identities", metavar="FILE",
                      help="file of identities, one 'lhs = rhs' per line")
+    sub.add_argument("--max-work", type=int, default=10_000_000, metavar="N",
+                     help="cap on the identity sweep, the sum of n^k over the "
+                          "identities (default 10000000)")
 
 
 def build_parser():

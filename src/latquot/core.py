@@ -164,13 +164,18 @@ def from_covers(elements, covers):
     ``covers`` is an iterable of (lower, upper) identifier pairs; the order
     is the reflexive-transitive closure of the cover relation.  Raises
     DuplicateElement, UnknownElement, CycleDetected, or NotALattice (with a
-    witness pair) when the data does not describe a lattice.
+    witness pair) when the data does not describe a lattice, and
+    LatticeError for an identifier the text format cannot carry: one that
+    is empty or contains '<' or whitespace.
     """
     elements = list(elements)
     if len(set(elements)) != len(elements):
         raise DuplicateElement("duplicate element identifiers")
     if not elements:
         raise LatticeError("empty carrier is not a lattice")
+    for e in elements:
+        if e.split() != [e] or "<" in e:
+            raise LatticeError(f"identifier {e!r} is empty or contains '<' or whitespace")
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     up = [1 << i for i in range(n)]

@@ -94,11 +94,20 @@ def _tokenize(text):
     return tokens
 
 
+# Deepest parenthesis nesting and deepest operator nesting a term may have.
+# Terms are walked recursively, so this keeps every walk far below Python's
+# recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, operator depth)."""
+
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.parens = 0
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -111,38 +120,51 @@ class _Parser:
     def here(self):
         return self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.text)
 
+    def too_deep(self):
+        return TermSyntaxError(f"term nested deeper than {MAX_DEPTH} levels", self.here())
+
+    def combine(self, cls, left, right):
+        depth = 1 + max(left[1], right[1])
+        if depth > MAX_DEPTH:
+            raise self.too_deep()
+        return cls(left[0], right[0]), depth
+
     def term(self):
         node = self.factor()
         while self.peek() == "\\/":
             self.advance()
-            node = Join(node, self.factor())
+            node = self.combine(Join, node, self.factor())
         return node
 
     def factor(self):
         node = self.atom()
         while self.peek() == "/\\":
             self.advance()
-            node = Meet(node, self.atom())
+            node = self.combine(Meet, node, self.atom())
         return node
 
     def atom(self):
         tok = self.peek()
         if tok == "(":
+            if self.parens == MAX_DEPTH:
+                raise self.too_deep()
+            self.parens += 1
             self.advance()
             node = self.term()
             if self.peek() != ")":
                 raise TermSyntaxError("expected ')'", self.here())
             self.advance()
+            self.parens -= 1
             return node
         if tok is None or tok in ("/\\", "\\/", ")"):
             raise TermSyntaxError("expected a variable or '('", self.here())
         self.advance()
-        return Var(tok)
+        return Var(tok), 0
 
 
 def parse_term(text):
     parser = _Parser(text)
-    node = parser.term()
+    node, _ = parser.term()
     if parser.peek() is not None:
         raise TermSyntaxError(f"unexpected {parser.peek()!r}", parser.here())
     return node

@@ -103,13 +103,18 @@ _PALETTE = (
 )
 
 
+def _dot_quote(text):
+    """``text`` as the body of a DOT quoted string: backslash and '"' escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(lat, highlight=None, name="lattice"):
     """Hasse diagram in DOT, edges drawn bottom-to-top.
 
     ``highlight`` is an optional Congruence: elements of the same
     nontrivial block share a color and a cluster.
     """
-    lines = [f'digraph "{name}" {{', "  rankdir=BT;", "  node [shape=ellipse];"]
+    lines = [f'digraph "{_dot_quote(name)}" {{', "  rankdir=BT;", "  node [shape=ellipse];"]
     node_id = {e: f"n{i}" for i, e in enumerate(lat.elements)}
     colored = {}
     if highlight is not None:
@@ -123,12 +128,13 @@ def to_dot(lat, highlight=None, name="lattice"):
             for i in block:
                 e = lat.elements[i]
                 lines.append(
-                    f'    {node_id[e]} [label="{e}", style=filled, fillcolor={colored[i]}];'
+                    f'    {node_id[e]} [label="{_dot_quote(e)}", style=filled, '
+                    f'fillcolor={colored[i]}];'
                 )
             lines.append("  }")
     for i, e in enumerate(lat.elements):
         if i not in colored:
-            lines.append(f'  {node_id[e]} [label="{e}"];')
+            lines.append(f'  {node_id[e]} [label="{_dot_quote(e)}"];')
     for a, b in lat.covers():
         lines.append(f"  {node_id[a]} -> {node_id[b]};")
     lines.append("}")

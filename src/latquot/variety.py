@@ -24,6 +24,7 @@ from .congruence import (
     quotient,
 )
 from .core import product
+from .errors import SizeLimitExceeded
 from .terms import DISTRIBUTIVE, Meet, Var, variables
 
 
@@ -37,49 +38,84 @@ def _eval_idx(term, lat, env):
     return table[left][right]
 
 
-def _assignments(lat, names):
+def _sweep_order(ident):
+    """Variables of an identity: the lhs's in order, then the rhs's new ones."""
+    names = variables(ident.lhs)
+    return names + [v for v in variables(ident.rhs) if v not in names]
+
+
+def _first_failure(lat, spec):
+    """The first failing assignment, or None if ``lat`` satisfies ``spec``.
+
+    Sweeps each identity's assignments in lexicographic order of
+    ``_sweep_order``.  A failure is (identity, env, lhs, rhs) at index
+    level: env maps names to indices, lhs != rhs are the two values.
+    """
     n = len(lat)
-    for combo in itertools.product(range(n), repeat=len(names)):
-        yield dict(zip(names, combo))
+    for ident in spec.identities:
+        names = _sweep_order(ident)
+        for combo in itertools.product(range(n), repeat=len(names)):
+            env = dict(zip(names, combo))
+            left = _eval_idx(ident.lhs, lat, env)
+            right = _eval_idx(ident.rhs, lat, env)
+            if left != right:
+                return ident, env, left, right
+    return None
 
 
 def satisfies(lat, spec):
     """True, or a witness (identity, assignment) for the first failure."""
-    for ident in spec.identities:
-        names = variables(ident.lhs) + [
-            v for v in variables(ident.rhs) if v not in variables(ident.lhs)
-        ]
-        for env in _assignments(lat, names):
-            if _eval_idx(ident.lhs, lat, env) != _eval_idx(ident.rhs, lat, env):
-                named = {v: lat.elements[i] for v, i in env.items()}
-                return (ident, named)
-    return True
+    failure = _first_failure(lat, spec)
+    if failure is None:
+        return True
+    ident, env, _, _ = failure
+    return (ident, {v: lat.elements[i] for v, i in env.items()})
 
 
-def kappa(lat, spec):
+def check_work(size, spec, max_work):
+    """Raise SizeLimitExceeded if one full sweep of ``spec`` over ``size``
+    elements, the sum of size^k over the identities, exceeds ``max_work``."""
+    if max_work is None:
+        return
+    work = sum(size ** len(_sweep_order(ident)) for ident in spec.identities)
+    if work > max_work:
+        raise SizeLimitExceeded(
+            f"identity sweep of {work} assignments exceeds the work cap {max_work}"
+        )
+
+
+def kappa(lat, spec, max_work=None):
     """Least congruence whose quotient lies in the class.
 
-    Generated-join method: join, over every identity t1 = t2 and every
-    assignment of lattice elements to its variables, of the principal
-    congruences theta(t1, t2).  Any congruence with quotient in the class
-    must collapse each such pair, and the quotient by the join satisfies
-    every identity, so the join is exactly the least such congruence.
-    The quotient is re-checked before returning.
+    Witness-driven: starting from the identity congruence, each round
+    sweeps L/theta for the first assignment that breaks an identity,
+    lifts its two unequal values to block representatives a, b of L, and
+    replaces theta by the congruence generated by theta and (a, b).
+
+    Why the result is least: let phi >= theta have its quotient in the
+    class.  Lift the failing assignment to L; the two sides of the
+    identity evaluate in L to elements of the blocks of a and b, and
+    L/phi satisfies the identity, so phi identifies them, hence also a
+    and b.  So phi lies above the new theta as well, and by induction
+    every theta the loop visits lies below every congruence whose
+    quotient is in the class.  Each round merges two blocks, so the loop
+    ends, and it ends on a sweep that finds no failure: that sweep is the
+    proof that the quotient by the returned theta is in the class.
+
+    ``max_work`` caps one full sweep of L (see ``check_work``); above it,
+    SizeLimitExceeded is raised before any sweep.
     """
-    pairs = []
-    for ident in spec.identities:
-        names = variables(ident.lhs) + [
-            v for v in variables(ident.rhs) if v not in variables(ident.lhs)
-        ]
-        for env in _assignments(lat, names):
-            a = _eval_idx(ident.lhs, lat, env)
-            b = _eval_idx(ident.rhs, lat, env)
-            if a != b:
-                pairs.append((a, b))
-    result = _congruence_closure(lat, pairs)
-    if satisfies(quotient(lat, result).target, spec) is not True:
-        raise RuntimeError("internal error: quotient by kappa escapes the class")
-    return result
+    check_work(len(lat), spec, max_work)
+    theta = identity_congruence(lat)
+    while True:
+        failure = _first_failure(quotient(lat, theta).target, spec)
+        if failure is None:
+            return theta
+        _, _, left, right = failure
+        reps = sorted(set(theta.block_of))
+        pairs = [(i, r) for i, r in enumerate(theta.block_of) if i != r]
+        pairs.append((reps[left], reps[right]))
+        theta = _congruence_closure(lat, pairs)
 
 
 def delta(lat):

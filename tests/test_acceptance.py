@@ -143,7 +143,7 @@ def test_criterion_07():
         assert any("factored" in d for d in report.details)
 
 
-@criterion(8, "generated-join kappa matches the brute-force oracle")
+@criterion(8, "witness-driven kappa matches the brute-force oracle")
 def test_criterion_08():
     for named in standard_catalog():
         lat = named.lattice

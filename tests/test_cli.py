@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -75,6 +76,52 @@ def test_kappa_identities_file(capsys, tmp_path):
     assert code == 0
     assert "quotient_size=1" in out
     assert "singleton" in out
+
+
+FIVE_VAR = r"v /\ (w \/ x \/ (y /\ z)) = (v /\ w) \/ (v /\ x) \/ (v /\ y /\ z)"
+
+
+def test_kappa_work_cap_exit_code(capsys, tmp_path):
+    # 28^5 ~ 17.2M assignments: refused before the sweep, not after minutes
+    path = tmp_path / "five.ids"
+    path.write_text(FIVE_VAR + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kappa", "catalog:fm-3", "--identities", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "size limit" in err and "17210368" in err
+
+
+def test_max_work_flag(capsys):
+    # one 3-variable identity on n5 sweeps 5^3 = 125 assignments
+    code, _, err = run(capsys, "delta", "catalog:n5", "--max-work", "124")
+    assert code == 3
+    assert "work cap 124" in err
+    code, out, _ = run(capsys, "delta", "catalog:n5", "--max-work", "125")
+    assert code == 0
+    assert "kappa={0}{a,b}{c}{1}" in out
+    for argv in (["quotient", "catalog:n5", "delta"], ["dot", "catalog:n5", "--highlight", "delta"],
+                 ["check", "--theorem", "2", "catalog:n5"]):
+        code, _, _ = run(capsys, *argv, "--max-work", "124")
+        assert code == 3, argv
+    # theorem 3 sweeps the 25-element product: 25^3 = 15625
+    code, _, _ = run(capsys, "check", "--theorem", "3", "catalog:m3", "catalog:n5",
+                     "--max-work", "15624")
+    assert code == 3
+    code, _, _ = run(capsys, "check", "--theorem", "3", "catalog:m3", "catalog:n5",
+                     "--max-work", "15625")
+    assert code == 0
+
+
+def test_deep_identity_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.ids"
+    path.write_text("x = " + "(" * 3000 + "x" + ")" * 3000 + "\n")
+    code, out, err = run(capsys, "kappa", "catalog:n5", "--identities", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: term nested deeper than")
+    assert "Traceback" not in err
 
 
 def test_quotient_delta(capsys):

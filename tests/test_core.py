@@ -17,6 +17,7 @@ from latquot.errors import (
     CycleDetected,
     DuplicateElement,
     EmptyGeneratorSet,
+    LatticeError,
     NotALattice,
     SizeLimitExceeded,
     UnknownElement,
@@ -61,6 +62,13 @@ def test_from_covers_duplicate_and_unknown():
 def test_from_covers_cycle():
     with pytest.raises(CycleDetected):
         from_covers(["x", "y"], [("x", "y"), ("y", "x")])
+
+
+@pytest.mark.parametrize("bad", ["p<q", "p q", "p\tq", "p\n", ""])
+def test_from_covers_rejects_identifiers_the_text_format_cannot_carry(bad):
+    # "p<q" used to be accepted, and its dump then failed to re-parse
+    with pytest.raises(LatticeError):
+        from_covers([bad, "r"], [(bad, "r")])
 
 
 def test_leq_reflexive_everywhere(catalog):

@@ -16,7 +16,7 @@ from latquot import (
     render_term,
 )
 from latquot.errors import TermSyntaxError, UnboundVariable
-from latquot.terms import variables
+from latquot.terms import MAX_DEPTH, variables
 
 
 def test_parse_basic():
@@ -45,6 +45,27 @@ def test_parse_errors_have_positions():
         parse_term("a @ b")
     with pytest.raises(TermSyntaxError):
         parse_term("a b")
+
+
+def test_deep_nesting_is_a_syntax_error():
+    # both used to overflow the recursion limit: the parser on the parentheses,
+    # the term walks (variables, render, hash) on the operator chain
+    with pytest.raises(TermSyntaxError):
+        parse_term("(" * 3000 + "x" + ")" * 3000)
+    with pytest.raises(TermSyntaxError):
+        parse_term("x" + r" /\ x" * 3000)
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_term("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1))
+    assert exc.value.position == MAX_DEPTH
+    with pytest.raises(TermSyntaxError):
+        parse_term("x" + r" \/ x" * (MAX_DEPTH + 1))
+
+
+def test_nesting_at_the_limit_parses():
+    assert parse_term("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH) == Var("x")
+    chain_term = parse_term("x" + r" /\ y" * MAX_DEPTH)
+    assert variables(chain_term) == ["x", "y"]
+    assert parse_term(render_term(chain_term)) == chain_term
 
 
 names = st.sampled_from(["x", "y", "z", "w"])

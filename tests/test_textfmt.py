@@ -4,6 +4,7 @@ from latquot import (
     delta,
     dump_lattice_text,
     free_modular_3,
+    from_covers,
     n5,
     parse_congruence_text,
     parse_lattice_text,
@@ -99,3 +100,15 @@ def test_dot_highlight_fm3_cluster_count():
     text = to_dot(lat, highlight=delta(lat))
     # six doubletons plus the five-element diamond block
     assert sum(1 for line in text.splitlines() if "subgraph cluster_" in line) == 7
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    # a diamond with a '"' and a backslash in two atoms; delta collapses it
+    atoms = ['say"hi"', "back\\slash", "c"]
+    lat = from_covers(["0", *atoms, "1"], [(x, y) for a in atoms for x, y in (("0", a), (a, "1"))])
+    text = to_dot(lat)
+    assert '[label="say\\"hi\\""];' in text
+    assert '[label="back\\\\slash"];' in text
+    highlighted = to_dot(lat, highlight=delta(lat), name='my "graph"')
+    assert highlighted.startswith('digraph "my \\"graph\\"" {')
+    assert '[label="say\\"hi\\"", style=filled' in highlighted

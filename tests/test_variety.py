@@ -22,10 +22,12 @@ from latquot import (
     product,
     quotient,
     satisfies,
+    variety,
     verify_theorem1,
     verify_theorem2,
     verify_theorem3,
 )
+from latquot.errors import SizeLimitExceeded
 
 DUAL_DISTRIBUTIVE = ClassSpec(
     (parse_identity(r"a \/ (b /\ c) = (a \/ b) /\ (a \/ c)", "dual"),), "dual-distributive"
@@ -57,6 +59,29 @@ def test_kappa_examples():
         assert kappa(named.lattice, DISTRIBUTIVE) == identity_congruence(named.lattice)
 
 
+def test_kappa_work_cap(monkeypatch):
+    # one 3-variable identity on n5 sweeps 5^3 = 125 assignments
+    lat = n5().lattice
+    assert kappa(lat, DISTRIBUTIVE, max_work=125) == principal_congruence(lat, "a", "b")
+
+    def no_sweep(*args):
+        raise AssertionError("swept despite the cap")
+
+    monkeypatch.setattr(variety, "_first_failure", no_sweep)
+    with pytest.raises(SizeLimitExceeded):
+        kappa(lat, DISTRIBUTIVE, max_work=124)
+    two = ClassSpec(DISTRIBUTIVE.identities + MODULAR.identities, "both")
+    with pytest.raises(SizeLimitExceeded):
+        kappa(lat, two, max_work=249)
+
+
+def test_satisfies_witness_is_first_failure():
+    # sweep order: lhs variables a, b, c, lexicographic over 0 a b c 1
+    ident, env = satisfies(n5().lattice, DISTRIBUTIVE)
+    assert ident.name == "distributive"
+    assert env == {"a": "a", "b": "b", "c": "c"}
+
+
 def test_kappa_modular_pentagon():
     lat = n5().lattice
     assert kappa(lat, MODULAR) == principal_congruence(lat, "a", "b")
@@ -64,7 +89,7 @@ def test_kappa_modular_pentagon():
 
 
 def test_kappa_oracle_agreement(small_catalog):
-    # load-bearing cross-check of the generated-join method
+    # load-bearing cross-check of the witness-driven loop
     for named in small_catalog:
         lat = named.lattice
         for spec in (DISTRIBUTIVE, MODULAR):

@@ -206,12 +206,45 @@ def from_covers(elements, covers):
     return Lattice(elements, down, up, meet, join, validate=False)
 
 
+def _nests(name):
+    """True iff the brackets ``([{`` / ``)]}`` in ``name``, counted as one kind,
+    balance and every comma lies inside a bracket."""
+    depth = 0
+    for ch in name:
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+            if depth < 0:
+                return False
+        elif ch == "," and depth == 0:
+            return False
+    return depth == 0
+
+
+def _pair_names(names1, names2):
+    """Product identifiers of all pairs, row-major; injective over all
+    identifiers.
+
+    When p and q both nest, (p, q) is named "(p,q)": split at its only
+    comma outside brackets, it gives back p and q, and it nests again, so
+    products of products keep this form.  Otherwise the name is
+    "{len(p):p,q}": it starts with "{", so it never equals the first form,
+    and the length gives back p.
+    """
+    nests2 = [_nests(q) for q in names2]
+    out = []
+    for p in names1:
+        nests1 = _nests(p)
+        for q, nests in zip(names2, nests2):
+            out.append(f"({p},{q})" if nests1 and nests else f"{{{len(p)}:{p},{q}}}")
+    return out
+
+
 def product(l1, l2):
-    """Direct product with componentwise order; ids are "(p,q)" strings."""
-    elements = []
-    for p in l1.elements:
-        for q in l2.elements:
-            elements.append(f"({p},{q})")
+    """Direct product with componentwise order; ids are "(p,q)" strings
+    (see ``_pair_names`` for factor ids with stray commas or brackets)."""
+    elements = _pair_names(l1.elements, l2.elements)
     n2 = len(l2)
 
     def enc(i, j):

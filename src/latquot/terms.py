@@ -51,16 +51,211 @@ def variables(term):
 
 def eval_term(lat, term, assignment):
     """Evaluate a term in ``lat`` under a name -> identifier assignment."""
-    if isinstance(term, Var):
+    program = _Program([term], variables(term), vector=False)
+    point = []
+    for name in program.names:
         try:
-            return assignment[term.name]
+            point.append(lat.index(assignment[name]))
         except KeyError:
-            raise UnboundVariable(f"variable {term.name!r} unbound") from None
-    left = eval_term(lat, term.left, assignment)
-    right = eval_term(lat, term.right, assignment)
-    if isinstance(term, Meet):
-        return lat.meet(left, right)
-    return lat.join(left, right)
+            raise UnboundVariable(f"variable {name!r} unbound") from None
+    return lat.elements[program.evaluate(lat, point)[0]]
+
+
+# Slot operations of a lowered term.  A row is a meet or join table row,
+# a vector is the values of a term over the innermost variable's range.
+_ROW = "row"  # env[out] = table[env[a]]
+_AT = "at"  # env[out] = env[a][env[b]], env[a] a row
+_AT2 = "at2"  # env[out] = table[env[a]][env[b]]
+_MAP = "map"  # vector: env[a] (a row) at each entry of vector env[b]
+_ZIP = "zip"  # vector: table[x][y] for x, y paired from vectors env[a], env[b]
+_TZIP = "tzip"  # vector: table[x][y] for x the innermost variable, y in env[b]
+_FILL = "fill"  # vector: env[a] at every entry
+
+
+class _Program:
+    """Terms lowered to slot operations, each hoisted to the loop level of
+    the deepest variable it depends on.
+
+    ``names`` fixes the loop order: variable ``names[i]`` lives in slot
+    ``i`` and is the loop at level ``i``.  Subterms are shared.  With
+    ``vector`` set, the program is a sweep: a table row ``M[x]`` is fetched
+    once, at the level where ``x`` is known, and the innermost variable
+    runs as one pass over its whole range, so every subterm that depends
+    on it, and every output, is a vector, and a row applied to the
+    innermost variable itself is just that row.  Without it, every slot
+    holds one index and the program evaluates at one point.
+
+    ``levels[i]`` lists the operations run whenever variable ``i`` takes a
+    new value; ``outputs`` are the slots of the lowered terms.  The program
+    holds no tables, so one program serves any number of lattices.
+    """
+
+    def __init__(self, terms, names, vector):
+        self.names = list(names)
+        k = len(self.names)
+        position = {name: i for i, name in enumerate(self.names)}
+        inner = k - 1 if vector else None
+        self.levels = [[] for _ in range(k)]
+        self.nslots = k
+        nodes = {}  # (table, a, level of a, b, level of b) -> (slot, level)
+        rows = {}  # (table, a) -> slot of the row table[a]
+
+        def emit(level, code, table, a, b):
+            out = self.nslots
+            self.nslots += 1
+            self.levels[level].append((code, out, table, a, b))
+            return out
+
+        def combine(table, left, right):
+            # meet and join commute: put the shallower operand first
+            (a, la), (b, lb) = left, right
+            if (lb, b) < (la, a):
+                (a, la), (b, lb) = right, left
+            key = (table, a, la, b, lb)
+            if key in nodes:
+                return nodes[key]
+            if la < lb and vector:
+                if (table, a) not in rows:
+                    rows[table, a] = emit(la, _ROW, table, a, None)
+                row = rows[table, a]
+                if lb != inner:
+                    out = emit(lb, _AT, table, row, b)
+                elif b == inner:
+                    out = row
+                else:
+                    out = emit(lb, _MAP, table, row, b)
+            elif lb != inner:
+                out = emit(lb, _AT2, table, a, b)
+            elif a == inner:
+                out = emit(lb, _TZIP, table, None, b)
+            else:
+                out = emit(lb, _ZIP, table, a, b)
+            nodes[key] = (out, lb)
+            return nodes[key]
+
+        self.outputs = []
+        for term in terms:
+            # post-order walk with an explicit stack
+            values = []
+            stack = [(term, False)]
+            while stack:
+                node, expanded = stack.pop()
+                if isinstance(node, Var):
+                    values.append((position[node.name], position[node.name]))
+                elif expanded:
+                    right = values.pop()
+                    left = values.pop()
+                    values.append(combine(int(isinstance(node, Join)), left, right))
+                else:
+                    stack.extend(((node, True), (node.right, False), (node.left, False)))
+            out, level = values.pop()
+            if vector and level != inner:
+                out = emit(inner, _FILL, None, out, None)
+            self.outputs.append(out)
+
+    def _bind(self, tables, env):
+        """The operations as closures over ``tables`` and ``env``, by level."""
+        n = len(tables[0])
+
+        def closure(code, out, table, a, b):
+            rows = tables[table] if table is not None else None
+            if code == _ROW:
+                def op():
+                    env[out] = rows[env[a]]
+            elif code == _AT:
+                def op():
+                    env[out] = env[a][env[b]]
+            elif code == _AT2:
+                def op():
+                    env[out] = rows[env[a]][env[b]]
+            elif code == _MAP:
+                def op():
+                    row = env[a]
+                    env[out] = [row[y] for y in env[b]]
+            elif code == _ZIP:
+                def op():
+                    env[out] = [rows[x][y] for x, y in zip(env[a], env[b])]
+            elif code == _TZIP:
+                def op():
+                    env[out] = [row[y] for row, y in zip(rows, env[b])]
+            else:
+                def op():
+                    env[out] = [env[a]] * n
+            return op
+
+        return [[closure(*operation) for operation in ops] for ops in self.levels]
+
+    def evaluate(self, lat, point):
+        """The outputs' values (indices) with variable ``i`` at ``point[i]``."""
+        env = list(point) + [None] * (self.nslots - len(point))
+        for ops in self._bind((lat.meet_table, lat.join_table), env):
+            for op in ops:
+                op()
+        return [env[slot] for slot in self.outputs]
+
+
+def sweep_order(identity):
+    """Variables of an identity: the lhs's in order, then the rhs's new ones."""
+    names = variables(identity.lhs)
+    return names + [v for v in variables(identity.rhs) if v not in names]
+
+
+class IdentitySweep:
+    """An identity compiled for sweeping every assignment of a lattice.
+
+    The variables are swept in ``names`` order (``sweep_order``), the first
+    variable outermost.  The program is independent of the lattice, so one
+    compilation serves every lattice it is run on.
+    """
+
+    def __init__(self, identity):
+        self.identity = identity
+        self.names = sweep_order(identity)
+        self._program = _Program((identity.lhs, identity.rhs), self.names, vector=True)
+
+    def first_failure(self, lat):
+        """The first assignment, in lexicographic order of the variables'
+        indices, where the two sides differ, as (indices, lhs, rhs); or None.
+        """
+        n = len(lat)
+        k = len(self.names)
+        env = [None] * self._program.nslots
+        env[k - 1] = list(range(n))
+        # list rows, so that a row used as a vector compares equal to a list
+        tables = (list(map(list, lat.meet_table)), list(map(list, lat.join_table)))
+        *outer, inner = self._program._bind(tables, env)
+        lhs, rhs = self._program.outputs
+
+        def innermost():
+            for op in inner:
+                op()
+            left, right = env[lhs], env[rhs]
+            if left == right:
+                return None
+            i = next(i for i in range(n) if left[i] != right[i])
+            return tuple(env[: k - 1]) + (i,), left[i], right[i]
+
+        if not outer:
+            return innermost()
+        # odometer over the outer variables, the first one outermost
+        iters = [iter(range(n))] + [None] * (k - 2)
+        level = 0
+        while level >= 0:
+            value = next(iters[level], None)
+            if value is None:
+                level -= 1
+                continue
+            env[level] = value
+            for op in outer[level]:
+                op()
+            if level < k - 2:
+                level += 1
+                iters[level] = iter(range(n))
+                continue
+            failure = innermost()
+            if failure is not None:
+                return failure
+        return None
 
 
 def render_term(term, _level=0):

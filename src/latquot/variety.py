@@ -25,47 +25,39 @@ from .congruence import (
 )
 from .core import product
 from .errors import SizeLimitExceeded
-from .terms import DISTRIBUTIVE, Meet, Var, variables
+from .terms import DISTRIBUTIVE, IdentitySweep, sweep_order
 
 
-def _eval_idx(term, lat, env):
-    """Term evaluation at index level (env: name -> index)."""
-    if isinstance(term, Var):
-        return env[term.name]
-    left = _eval_idx(term.left, lat, env)
-    right = _eval_idx(term.right, lat, env)
-    table = lat.meet_table if isinstance(term, Meet) else lat.join_table
-    return table[left][right]
+def _sweeps(spec):
+    """Each identity of ``spec`` compiled once, for any number of sweeps."""
+    return [IdentitySweep(ident) for ident in spec.identities]
 
 
-def _sweep_order(ident):
-    """Variables of an identity: the lhs's in order, then the rhs's new ones."""
-    names = variables(ident.lhs)
-    return names + [v for v in variables(ident.rhs) if v not in names]
+def _first_failure(lat, sweeps):
+    """The first failing assignment, or None if ``lat`` satisfies them all.
 
-
-def _first_failure(lat, spec):
-    """The first failing assignment, or None if ``lat`` satisfies ``spec``.
-
-    Sweeps each identity's assignments in lexicographic order of
-    ``_sweep_order``.  A failure is (identity, env, lhs, rhs) at index
-    level: env maps names to indices, lhs != rhs are the two values.
+    ``sweeps`` are compiled identities (``_sweeps``), tried in order.
+    A failure is (identity, env, lhs, rhs) at index level: env maps names
+    to indices, lhs != rhs are the two values.
     """
-    n = len(lat)
-    for ident in spec.identities:
-        names = _sweep_order(ident)
-        for combo in itertools.product(range(n), repeat=len(names)):
-            env = dict(zip(names, combo))
-            left = _eval_idx(ident.lhs, lat, env)
-            right = _eval_idx(ident.rhs, lat, env)
-            if left != right:
-                return ident, env, left, right
+    for sweep in sweeps:
+        failure = sweep.first_failure(lat)
+        if failure is not None:
+            combo, left, right = failure
+            return sweep.identity, dict(zip(sweep.names, combo)), left, right
     return None
 
 
 def satisfies(lat, spec):
-    """True, or a witness (identity, assignment) for the first failure."""
-    failure = _first_failure(lat, spec)
+    """True, or a witness (identity, assignment) for the first failure.
+
+    The witness is the first failing assignment of the first identity that
+    fails, in spec order.  An identity's assignments are ordered
+    lexicographically by the carrier indices of its variables, taken in
+    sweep order: the lhs's variables by first occurrence, then the rhs's
+    new ones.
+    """
+    failure = _first_failure(lat, _sweeps(spec))
     if failure is None:
         return True
     ident, env, _, _ = failure
@@ -77,7 +69,7 @@ def check_work(size, spec, max_work):
     elements, the sum of size^k over the identities, exceeds ``max_work``."""
     if max_work is None:
         return
-    work = sum(size ** len(_sweep_order(ident)) for ident in spec.identities)
+    work = sum(size ** len(sweep_order(ident)) for ident in spec.identities)
     if work > max_work:
         raise SizeLimitExceeded(
             f"identity sweep of {work} assignments exceeds the work cap {max_work}"
@@ -106,9 +98,10 @@ def kappa(lat, spec, max_work=None):
     SizeLimitExceeded is raised before any sweep.
     """
     check_work(len(lat), spec, max_work)
+    sweeps = _sweeps(spec)
     theta = identity_congruence(lat)
     while True:
-        failure = _first_failure(quotient(lat, theta).target, spec)
+        failure = _first_failure(quotient(lat, theta).target, sweeps)
         if failure is None:
             return theta
         _, _, left, right = failure
@@ -123,18 +116,24 @@ def delta(lat):
     return kappa(lat, DISTRIBUTIVE)
 
 
+def _in_class(lat, spec, congruences):
+    """The congruences whose quotient lies in the class, in input order."""
+    sweeps = _sweeps(spec)
+    return [
+        theta for theta in congruences
+        if _first_failure(quotient(lat, theta).target, sweeps) is None
+    ]
+
+
 def class_filter(lat, spec, max_size=12):
     """All congruences whose quotient lies in the class, sorted canonically.
 
     Cross-checked against the principal up-set of kappa before returning.
     """
-    filtered = [
-        theta
-        for theta in all_congruences(lat, max_size=max_size)
-        if satisfies(quotient(lat, theta).target, spec) is True
-    ]
+    cons = all_congruences(lat, max_size=max_size)
+    filtered = _in_class(lat, spec, cons)
     kap = kappa(lat, spec)
-    upset = [t for t in all_congruences(lat, max_size=max_size) if leq_congruence(kap, t)]
+    upset = [t for t in cons if leq_congruence(kap, t)]
     if set(filtered) != set(upset):
         raise RuntimeError("internal error: class filter is not the up-set of kappa")
     return sorted(filtered, key=lambda t: (-t.num_blocks(), t.block_of))
@@ -144,13 +143,10 @@ def kappa_oracle(lat, spec, max_size=12):
     """kappa by brute force: meet of all class-quotient congruences.
 
     The meet of the filtered set is itself in the set (closure of the
-    filter under arbitrary intersections); this is asserted.
+    filter under arbitrary intersections); this is asserted.  Independent
+    of ``kappa``: it sweeps every quotient, not a witness-driven sequence.
     """
-    filtered = [
-        theta
-        for theta in all_congruences(lat, max_size=max_size)
-        if satisfies(quotient(lat, theta).target, spec) is True
-    ]
+    filtered = _in_class(lat, spec, all_congruences(lat, max_size=max_size))
     result = filtered[0]
     for theta in filtered[1:]:
         result = cong_meet(result, theta)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latquot import (
     boolean,
@@ -153,6 +155,46 @@ def test_product_componentwise(catalog):
                     a, b = f"({p},{q})", f"({r},{s})"
                     assert prod.meet(a, b) == f"({l1.meet(p, r)},{l2.meet(q, s)})"
                     assert prod.join(a, b) == f"({l1.join(p, r)},{l2.join(q, s)})"
+
+
+def test_product_of_comma_identifiers():
+    # "(x,y,z)" used to name both ("x", "y,z") and ("x,y", "z")
+    l1 = from_covers(["x", "x,y"], [("x", "x,y")])
+    l2 = from_covers(["y,z", "z"], [("y,z", "z")])
+    prod = product(l1, l2)
+    assert len(set(prod.elements)) == 4
+    assert prod.meet("(x,z)", "{3:x,y,y,z}") == "{1:x,y,z}"
+    assert prod.join("(x,z)", "{3:x,y,y,z}") == "{3:x,y,z}"
+    assert is_isomorphic(prod, boolean(2).lattice)
+
+
+def test_product_names_of_nesting_identifiers_are_unchanged():
+    pair = product(chain(2).lattice, m3().lattice)
+    nested = product(pair, from_covers(["{x,y}", "[a,(b)]"], [("{x,y}", "[a,(b)]")]))
+    assert nested.elements[:4] == ("((0,0),{x,y})", "((0,0),[a,(b)])", "((0,p),{x,y})",
+                                    "((0,p),[a,(b)])")
+
+
+identifiers = st.text(alphabet="a,()[]{}", min_size=1, max_size=6)
+
+
+@given(st.lists(identifiers, min_size=1, max_size=4, unique=True),
+       st.lists(identifiers, min_size=1, max_size=4, unique=True))
+def test_product_names_are_injective(names1, names2):
+    l1 = from_covers(names1, list(zip(names1, names1[1:])))
+    l2 = from_covers(names2, list(zip(names2, names2[1:])))
+    prod = product(l1, l2)
+    assert len(set(prod.elements)) == len(names1) * len(names2)
+    again = product(prod, l1)
+    assert len(set(again.elements)) == len(prod) * len(l1)
+
+
+@given(identifiers, identifiers, identifiers)
+def test_product_names_of_one_string_split_two_ways(a, b, c):
+    # "(p,q)" reads "a,b,c" for both (a, "b,c") and ("a,b", c)
+    l1 = from_covers([a, f"{a},{b}"], [(a, f"{a},{b}")])
+    l2 = from_covers([f"{b},{c}", c], [(f"{b},{c}", c)])
+    assert len(set(product(l1, l2).elements)) == 4
 
 
 def test_distributivity_classifications():

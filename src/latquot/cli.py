@@ -71,18 +71,19 @@ def cmd_info(args):
     lat = load_lattice(args.lattice)
     dist = is_distributive(lat)
     mod = is_modular(lat)
+    covers = len(lat.covers_i())
     try:
         con_size = len(all_congruences(lat, max_size=args.max_con))
     except SizeLimitExceeded:
         con_size = None
     line = (
-        f"size={len(lat)} covers={len(lat.covers())} "
+        f"size={len(lat)} covers={covers} "
         f"distributive={_yesno(dist)} modular={_yesno(mod)} "
         f"|Con|={con_size if con_size is not None else 'n/a'}"
     )
     _emit(args, [line], {
         "size": len(lat),
-        "covers": len(lat.covers()),
+        "covers": covers,
         "distributive": dist,
         "modular": mod,
         "con_size": con_size,

@@ -1,8 +1,9 @@
 """Congruences of finite lattices and quotient construction.
 
 A congruence is stored as a canonical partition: ``block_of[i]`` is the
-smallest index in the block of element ``i``.  All constructors either
-enforce or assert compatibility with meet and join.
+smallest index in the block of element ``i``.  ``congruence_from_blocks``
+and ``cong_join`` check compatibility with meet and join; ``quotient``
+trusts its congruence and does not re-validate L/theta.
 """
 
 from __future__ import annotations
@@ -286,7 +287,11 @@ class QuotientMap:
 
 
 def quotient(lat, theta):
-    """Quotient lattice with meet/join induced via block representatives."""
+    """Quotient lattice with meet/join induced via block representatives.
+
+    ``theta`` must be a congruence; L/theta is then a lattice, so the
+    target is not re-validated (nor would ``_validate`` catch a bad theta).
+    """
     if theta.lattice_size != len(lat):
         raise LatticeMismatch("congruence is for a different lattice")
     blocks = theta.blocks()
@@ -308,7 +313,7 @@ def quotient(lat, theta):
             if mm == a:
                 up[a] |= 1 << b
                 down[b] |= 1 << a
-    target = Lattice(elements, down, up, meet, join, validate=True)
+    target = Lattice(elements, down, up, meet, join, validate=False)
     return QuotientMap(lat, theta, target, index_map)
 
 

@@ -20,6 +20,7 @@ from latquot import (
     satisfies,
     sublattice_closure,
 )
+from latquot import catalog as catalog_module
 from latquot.catalog import CATALOG_NAMES
 from latquot.core import Lattice
 from latquot.errors import UnsupportedRank
@@ -34,6 +35,19 @@ def test_chain_and_boolean_basics():
         chain(0)
     with pytest.raises(UnsupportedRank):
         boolean(-1)
+
+
+def test_chain_rank_is_capped_before_building(monkeypatch):
+    # above the 256 elements of boolean-8 the rank is refused, and nothing is built
+    def refuse(*args):
+        raise AssertionError("a chain above the cap was built")
+
+    monkeypatch.setattr(catalog_module, "from_covers", refuse)
+    for rank in (257, 10 ** 9):
+        with pytest.raises(UnsupportedRank):
+            chain(rank)
+    with pytest.raises(UnsupportedRank):
+        resolve("chain-257")
 
 
 def test_diamond_and_pentagon():

@@ -219,6 +219,12 @@ def test_catalog_dump_round_trip(capsys):
         assert dump_lattice_text(parse_lattice_text(out)) == out
 
 
+def test_oversized_chain_exits_one(capsys):
+    code, out, err = run(capsys, "catalog", "dump", "chain-257")
+    assert code == 1 and out == ""
+    assert err == "error: a chain has at most 256 elements\n"
+
+
 def test_bad_inputs_exit_one(capsys):
     code, _, err = run(capsys, "info", "catalog:mystery-9")
     assert code == 1

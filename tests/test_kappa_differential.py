@@ -46,14 +46,14 @@ def _lattice_of(family):
 
 
 @st.composite
-def lattices(draw):
+def lattices(draw, max_elements=MAX_ELEMENTS):
     ground = draw(st.integers(min_value=3, max_value=5))
     full = (1 << ground) - 1
     family = {full}
     subsets = st.lists(st.integers(min_value=0, max_value=full), min_size=2, max_size=10)
     for subset in draw(subsets):
         grown = _meet_closure(family | {subset})
-        if len(grown) <= MAX_ELEMENTS:
+        if len(grown) <= max_elements:
             family = grown
     return _lattice_of(family)
 

@@ -1,0 +1,100 @@
+"""Property tests for the facts the library no longer re-checks at run time.
+
+``quotient`` does not re-validate L/theta, ``class_filter`` does not compare
+itself with the up-set of ``kappa``, and ``all_congruences`` is trusted to
+be all of Con(L).  These tests guard each fact on random lattices.
+"""
+
+from hypothesis import given, settings
+
+from latquot import (
+    DISTRIBUTIVE,
+    MODULAR,
+    all_congruences,
+    class_filter,
+    is_isomorphic,
+    kappa,
+    leq_congruence,
+    push_congruence,
+    quotient,
+)
+
+from conftest import all_partitions
+from test_kappa_differential import MAX_ELEMENTS, lattices
+
+ORACLE_ELEMENTS = 8  # Bell(8) = 4140 partitions per lattice
+
+
+def _compatible(lat, block_of):
+    """True iff the partition respects meet and join (checked pair by pair)."""
+    n = len(lat)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if block_of[i] != block_of[j]:
+                continue
+            for c in range(n):
+                if block_of[lat.meet_table[i][c]] != block_of[lat.meet_table[j][c]]:
+                    return False
+                if block_of[lat.join_table[i][c]] != block_of[lat.join_table[j][c]]:
+                    return False
+    return True
+
+
+def _partition_oracle(lat):
+    """Con(L) as canonical block_of tuples: every set partition, filtered."""
+    out = set()
+    for part in all_partitions(range(len(lat))):
+        block_of = [0] * len(lat)
+        for block in part:
+            for i in block:
+                block_of[i] = min(block)
+        if _compatible(lat, block_of):
+            out.add(tuple(block_of))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices(max_elements=ORACLE_ELEMENTS))
+def test_all_congruences_match_the_partition_oracle(lat):
+    cons = all_congruences(lat, max_size=ORACLE_ELEMENTS)
+    assert len(set(cons)) == len(cons)
+    assert {t.block_of for t in cons} == _partition_oracle(lat)
+
+
+@settings(max_examples=60, deadline=5000)
+@given(lattices())
+def test_class_filter_is_the_upset_of_kappa(lat):
+    cons = all_congruences(lat, max_size=MAX_ELEMENTS)
+    for spec in (DISTRIBUTIVE, MODULAR):
+        kap = kappa(lat, spec)
+        expected = [t for t in cons if leq_congruence(kap, t)]
+        assert class_filter(lat, spec, max_size=MAX_ELEMENTS) == expected
+
+
+@settings(max_examples=60, deadline=5000)
+@given(lattices())
+def test_every_quotient_is_a_lattice(lat):
+    for theta in all_congruences(lat, max_size=MAX_ELEMENTS):
+        quotient(lat, theta).target._validate()
+
+
+@settings(max_examples=40, deadline=5000)
+@given(lattices(max_elements=ORACLE_ELEMENTS))
+def test_push_congruence_agrees_with_quotient(lat):
+    # for theta <= phi: x ~ y mod phi iff their images are phi/theta-related,
+    # and (L/theta)/(phi/theta) is isomorphic to L/phi
+    cons = all_congruences(lat, max_size=ORACLE_ELEMENTS)
+    n = len(lat)
+    for theta in cons:
+        qmap = quotient(lat, theta)
+        for phi in cons:
+            if not leq_congruence(theta, phi):
+                continue
+            pushed = push_congruence(qmap, phi)
+            image = qmap.index_map
+            assert all(
+                pushed.same(image[i], image[j]) == phi.same(i, j)
+                for i in range(n) for j in range(n)
+            )
+            twice = quotient(qmap.target, pushed).target
+            assert is_isomorphic(twice, quotient(lat, phi).target)

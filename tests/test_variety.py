@@ -171,6 +171,17 @@ def test_theorem1_reports(small_catalog):
             assert report.ok, report.details
 
 
+def test_theorem1_names_a_filter_that_is_not_the_upset_of_kappa(monkeypatch):
+    lat = n5().lattice
+    monkeypatch.setattr(variety, "kappa", lambda lat, spec: identity_congruence(lat))
+    report = verify_theorem1(lat, DISTRIBUTIVE)
+    assert not report.ok
+    assert report.details == [
+        "not the up-set of kappa {0}{a}{b}{c}{1}",
+        "filter size 4 of 5 congruences",
+    ]
+
+
 def test_theorem2_pentagon_and_edge_cases():
     lat = n5().lattice
     theta = principal_congruence(lat, "a", "b")

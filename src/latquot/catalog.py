@@ -116,22 +116,11 @@ def free_distributive(n):
     tables = [t for t in _monotone_functions(n) if 0 in t and 1 in t]
     tables.sort()
     elements = [_antichain_name(t, n) for t in tables]
-    size = len(tables)
-    down = [0] * size
-    up = [0] * size
-    for a in range(size):
-        for b in range(size):
-            if all(x <= y for x, y in zip(tables[a], tables[b])):
-                up[a] |= 1 << b
-                down[b] |= 1 << a
-    meet = [[0] * size for _ in range(size)]
-    join = [[0] * size for _ in range(size)]
     pos = {t: i for i, t in enumerate(tables)}
-    for a in range(size):
-        for b in range(size):
-            meet[a][b] = pos[tuple(x & y for x, y in zip(tables[a], tables[b]))]
-            join[a][b] = pos[tuple(x | y for x, y in zip(tables[a], tables[b]))]
-    lat = Lattice(elements, down, up, meet, join, validate=True)
+    meet = [[pos[tuple(x & y for x, y in zip(a, b))] for b in tables] for a in tables]
+    join = [[pos[tuple(x | y for x, y in zip(a, b))] for b in tables] for a in tables]
+    lat = Lattice(elements, meet, join)
+    lat._validate()  # built from tables, not from covers: check the axioms once
     projections = {}
     for i in range(n):
         table = tuple(1 if s >> i & 1 else 0 for s in range(1 << n))

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success/pass, 1 input error, 2 theorem-check FAIL,
+Exit codes: 0 success/pass, 1 input or usage error, 2 theorem-check FAIL,
 3 size-limit exceeded.
 """
 
@@ -287,13 +287,16 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
     except SizeLimitExceeded as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except (LatticeError, OSError) as exc:
+    except (LatticeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

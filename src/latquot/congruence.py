@@ -298,22 +298,10 @@ def quotient(lat, theta):
     reps = [b[0] for b in blocks]
     pos = {r: k for k, r in enumerate(reps)}
     index_map = [pos[theta.block_of[i]] for i in range(len(lat))]
-    m = len(reps)
     elements = [f"[{lat.elements[r]}]" for r in reps]
-    down = [0] * m
-    up = [0] * m
-    meet = [[0] * m for _ in range(m)]
-    join = [[0] * m for _ in range(m)]
-    for a, ra in enumerate(reps):
-        for b, rb in enumerate(reps):
-            mm = index_map[lat.meet_table[ra][rb]]
-            jj = index_map[lat.join_table[ra][rb]]
-            meet[a][b] = mm
-            join[a][b] = jj
-            if mm == a:
-                up[a] |= 1 << b
-                down[b] |= 1 << a
-    target = Lattice(elements, down, up, meet, join, validate=False)
+    meet = [[index_map[lat.meet_table[ra][rb]] for rb in reps] for ra in reps]
+    join = [[index_map[lat.join_table[ra][rb]] for rb in reps] for ra in reps]
+    target = Lattice(elements, meet, join)
     return QuotientMap(lat, theta, target, index_map)
 
 

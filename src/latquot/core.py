@@ -1,9 +1,10 @@
 """Finite lattices: construction, validation, and order/meet/join primitives.
 
-A lattice is stored densely: an ordered tuple of element identifiers, the
-order relation as per-element bitsets, and total meet/join tables built once
-at construction.  All public operations take and return identifiers; indices
-are internal.  Instances are immutable after construction.
+A lattice is stored densely: an ordered tuple of element identifiers and
+total meet/join tables of indices.  The tables are the data; the order is
+derived from the meet table once, at construction, as per-element bitsets.
+All public operations take and return identifiers; indices are internal.
+Instances are immutable after construction.
 """
 
 from __future__ import annotations
@@ -22,28 +23,39 @@ from .errors import (
 
 
 class Lattice:
-    """A finite lattice on named elements.
+    """A finite lattice on named elements, given by its meet and join tables.
 
-    Use :func:`from_covers` (or the constructors in :mod:`latquot.catalog`)
-    rather than building instances by hand.  ``down[i]`` and ``up[i]`` are
-    bitsets of the indices below / above element ``i`` (inclusive).
+    ``meet_table[i][j]`` and ``join_table[i][j]`` are the indices of
+    ``i /\\ j`` and ``i \\/ j``.  The order is derived from the meet:
+    ``i <= j`` iff ``i /\\ j == i``.  ``down[i]`` and ``up[i]`` are bitsets of
+    the indices below / above element ``i`` (inclusive).  The tables are
+    trusted; ``_validate`` checks the lattice axioms on them.  Use
+    :func:`from_covers` (or the constructors in :mod:`latquot.catalog`) to
+    build a lattice from Hasse data.
     """
 
     __slots__ = ("elements", "_index", "down", "up", "meet_table", "join_table")
 
-    def __init__(self, elements, down, up, meet_table, join_table, validate=True):
+    def __init__(self, elements, meet_table, join_table):
         self.elements = tuple(elements)
         if not self.elements:
             raise LatticeError("empty carrier is not a lattice")
         if len(set(self.elements)) != len(self.elements):
             raise DuplicateElement("duplicate element identifiers")
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self.down = tuple(down)
-        self.up = tuple(up)
         self.meet_table = tuple(tuple(row) for row in meet_table)
         self.join_table = tuple(tuple(row) for row in join_table)
-        if validate:
-            self._validate()
+        # row a of the meet table holds a exactly at the b above a
+        n = len(self.elements)
+        up = [0] * n
+        down = [0] * n
+        for a, row in enumerate(self.meet_table):
+            for b in range(n):
+                if row[b] == a:
+                    up[a] |= 1 << b
+                    down[b] |= 1 << a
+        self.up = tuple(up)
+        self.down = tuple(down)
 
     # -- index plumbing -------------------------------------------------
 
@@ -103,7 +115,7 @@ class Lattice:
     def _validate(self):
         n = len(self)
         for i in range(n):
-            if not (self.down[i] >> i & 1 and self.up[i] >> i & 1):
+            if not self.up[i] >> i & 1:
                 raise LatticeError(f"order not reflexive at {self.elements[i]}")
         for i in range(n):
             for j in range(n):
@@ -115,8 +127,6 @@ class Lattice:
                     # transitivity: everything above j is above i
                     if self.up[j] & ~self.up[i]:
                         raise LatticeError("order not transitive")
-                if (self.down[i] >> j & 1) != (self.up[j] >> i & 1):
-                    raise LatticeError("down/up bitsets disagree")
         for i in range(n):
             for j in range(n):
                 lower = self.down[i] & self.down[j]
@@ -203,7 +213,7 @@ def from_covers(elements, covers):
             if up[j] >> i & 1:
                 down[i] |= 1 << j
     meet, join = _tables_from_order(elements, down, up)
-    return Lattice(elements, down, up, meet, join, validate=False)
+    return Lattice(elements, meet, join)
 
 
 def _nests(name):
@@ -246,41 +256,10 @@ def product(l1, l2):
     (see ``_pair_names`` for factor ids with stray commas or brackets)."""
     elements = _pair_names(l1.elements, l2.elements)
     n2 = len(l2)
-
-    def enc(i, j):
-        return i * n2 + j
-
-    n = len(l1) * n2
-    down = [0] * n
-    up = [0] * n
-    for i1 in range(len(l1)):
-        for j1 in range(n2):
-            a = enc(i1, j1)
-            d = u = 0
-            for i2 in range(len(l1)):
-                row_d = l1.down[i1] >> i2 & 1
-                row_u = l1.up[i1] >> i2 & 1
-                if not (row_d or row_u):
-                    continue
-                for j2 in range(n2):
-                    if row_d and l2.down[j1] >> j2 & 1:
-                        d |= 1 << enc(i2, j2)
-                    if row_u and l2.up[j1] >> j2 & 1:
-                        u |= 1 << enc(i2, j2)
-            down[a], up[a] = d, u
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i1 in range(len(l1)):
-        for j1 in range(n2):
-            a = enc(i1, j1)
-            for i2 in range(len(l1)):
-                mrow = l1.meet_table[i1][i2]
-                jrow = l1.join_table[i1][i2]
-                for j2 in range(n2):
-                    b = enc(i2, j2)
-                    meet[a][b] = enc(mrow, l2.meet_table[j1][j2])
-                    join[a][b] = enc(jrow, l2.join_table[j1][j2])
-    return Lattice(elements, down, up, meet, join, validate=False)
+    # (i1, j1) is index i1 * n2 + j1, so rows pair up row-major as well
+    meet = [[x * n2 + y for x in r1 for y in r2] for r1 in l1.meet_table for r2 in l2.meet_table]
+    join = [[x * n2 + y for x in r1 for y in r2] for r1 in l1.join_table for r2 in l2.join_table]
+    return Lattice(elements, meet, join)
 
 
 def is_distributive(lat):
@@ -342,17 +321,9 @@ def restrict(lat, members: Sequence):
         for j in idxs:
             if lat.meet_table[i][j] not in pos or lat.join_table[i][j] not in pos:
                 raise LatticeError("subset is not closed under meet and join")
-    n = len(idxs)
-    down = [0] * n
-    up = [0] * n
-    for a, i in enumerate(idxs):
-        for b, j in enumerate(idxs):
-            if lat.leq_i(i, j):
-                up[a] |= 1 << b
-                down[b] |= 1 << a
     meet = [[pos[lat.meet_table[i][j]] for j in idxs] for i in idxs]
     join = [[pos[lat.join_table[i][j]] for j in idxs] for i in idxs]
-    return Lattice([lat.elements[i] for i in idxs], down, up, meet, join, validate=False)
+    return Lattice([lat.elements[i] for i in idxs], meet, join)
 
 
 def _refine_signatures(lat, rounds=3):

@@ -51,7 +51,7 @@ def variables(term):
 
 def eval_term(lat, term, assignment):
     """Evaluate a term in ``lat`` under a name -> identifier assignment."""
-    program = _Program([term], variables(term), vector=False)
+    program = _Program([term], variables(term))
     point = []
     for name in program.names:
         try:
@@ -73,28 +73,26 @@ _FILL = "fill"  # vector: env[a] at every entry
 
 
 class _Program:
-    """Terms lowered to slot operations, each hoisted to the loop level of
-    the deepest variable it depends on.
+    """Terms lowered to a sweep of slot operations, each hoisted to the loop
+    level of the deepest variable it depends on.
 
     ``names`` fixes the loop order: variable ``names[i]`` lives in slot
-    ``i`` and is the loop at level ``i``.  Subterms are shared.  With
-    ``vector`` set, the program is a sweep: a table row ``M[x]`` is fetched
-    once, at the level where ``x`` is known, and the innermost variable
-    runs as one pass over its whole range, so every subterm that depends
-    on it, and every output, is a vector, and a row applied to the
-    innermost variable itself is just that row.  Without it, every slot
-    holds one index and the program evaluates at one point.
+    ``i`` and is the loop at level ``i``.  Subterms are shared.  A table
+    row ``M[x]`` is fetched once, at the level where ``x`` is known, and
+    the innermost variable runs as one pass over its whole range, so every
+    subterm that depends on it, and every output, is a vector, and a row
+    applied to the innermost variable itself is just that row.
 
     ``levels[i]`` lists the operations run whenever variable ``i`` takes a
     new value; ``outputs`` are the slots of the lowered terms.  The program
     holds no tables, so one program serves any number of lattices.
     """
 
-    def __init__(self, terms, names, vector):
+    def __init__(self, terms, names):
         self.names = list(names)
         k = len(self.names)
         position = {name: i for i, name in enumerate(self.names)}
-        inner = k - 1 if vector else None
+        inner = k - 1
         self.levels = [[] for _ in range(k)]
         self.nslots = k
         nodes = {}  # (table, a, level of a, b, level of b) -> (slot, level)
@@ -114,7 +112,7 @@ class _Program:
             key = (table, a, la, b, lb)
             if key in nodes:
                 return nodes[key]
-            if la < lb and vector:
+            if la < lb:
                 if (table, a) not in rows:
                     rows[table, a] = emit(la, _ROW, table, a, None)
                 row = rows[table, a]
@@ -149,7 +147,7 @@ class _Program:
                 else:
                     stack.extend(((node, True), (node.right, False), (node.left, False)))
             out, level = values.pop()
-            if vector and level != inner:
+            if level != inner:
                 out = emit(inner, _FILL, None, out, None)
             self.outputs.append(out)
 
@@ -186,12 +184,14 @@ class _Program:
         return [[closure(*operation) for operation in ops] for ops in self.levels]
 
     def evaluate(self, lat, point):
-        """The outputs' values (indices) with variable ``i`` at ``point[i]``."""
-        env = list(point) + [None] * (self.nslots - len(point))
+        """The outputs' values (indices) with variable ``i`` at ``point[i]``:
+        one pass of the innermost variable over its range, read at
+        ``point[-1]``."""
+        env = list(point[:-1]) + [range(len(lat))] + [None] * (self.nslots - len(point))
         for ops in self._bind((lat.meet_table, lat.join_table), env):
             for op in ops:
                 op()
-        return [env[slot] for slot in self.outputs]
+        return [env[slot][point[-1]] for slot in self.outputs]
 
 
 def sweep_order(identity):
@@ -211,7 +211,7 @@ class IdentitySweep:
     def __init__(self, identity):
         self.identity = identity
         self.names = sweep_order(identity)
-        self._program = _Program((identity.lhs, identity.rhs), self.names, vector=True)
+        self._program = _Program((identity.lhs, identity.rhs), self.names)
 
     def first_failure(self, lat):
         """The first assignment, in lexicographic order of the variables'

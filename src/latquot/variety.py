@@ -116,16 +116,19 @@ def delta(lat):
     return kappa(lat, DISTRIBUTIVE)
 
 
+def _in_class(lat, cons, spec):
+    """The members of ``cons`` whose quotient lies in the class, in order;
+    each identity is compiled once for all of them."""
+    sweeps = _sweeps(spec)
+    return [theta for theta in cons if _first_failure(quotient(lat, theta).target, sweeps) is None]
+
+
 def class_filter(lat, spec, max_size=12):
     """All congruences whose quotient lies in the class, in the order of
     ``all_congruences``.  That they are the principal up-set of ``kappa``
     is checked by ``verify_theorem1``, not on every call.
     """
-    sweeps = _sweeps(spec)
-    return [
-        theta for theta in all_congruences(lat, max_size=max_size)
-        if _first_failure(quotient(lat, theta).target, sweeps) is None
-    ]
+    return _in_class(lat, all_congruences(lat, max_size=max_size), spec)
 
 
 def kappa_oracle(lat, spec, max_size=12):
@@ -170,7 +173,7 @@ def verify_theorem1(lat, spec, max_size=12):
     """
     report = Report("filter-structure", True)
     cons = all_congruences(lat, max_size=max_size)
-    filtered = [t for t in cons if satisfies(quotient(lat, t).target, spec) is True]
+    filtered = _in_class(lat, cons, spec)
     members = set(filtered)
     for t0 in filtered:
         for t in cons:

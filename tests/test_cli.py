@@ -240,3 +240,23 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run(capsys, "info", "-")
     assert code == 0
     assert "size=5" in out
+
+
+def test_non_utf8_files_exit_one(capsys, tmp_path):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(b"\xff\xfe elements: 0 1\n")
+    for argv in (["info", str(path)], ["kappa", "catalog:n5", "--identities", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and "can't decode" in err
+        assert "Traceback" not in err
+
+
+def test_usage_errors_exit_one_and_help_zero(capsys):
+    # exit code 2 is reserved for a theorem-check FAIL
+    for argv in ([], ["info"], ["check", "--theorem", "4", "catalog:n5"], ["mystery"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == "" and "usage:" in err
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "usage:" in out

@@ -6,6 +6,7 @@ be all of Con(L).  These tests guard each fact on random lattices.
 """
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latquot import (
     DISTRIBUTIVE,
@@ -17,10 +18,13 @@ from latquot import (
     leq_congruence,
     push_congruence,
     quotient,
+    verify_theorem2,
+    verify_theorem3,
 )
 
 from conftest import all_partitions
 from test_kappa_differential import MAX_ELEMENTS, lattices
+from test_order_oracles import random_congruence
 
 ORACLE_ELEMENTS = 8  # Bell(8) = 4140 partitions per lattice
 
@@ -98,3 +102,21 @@ def test_push_congruence_agrees_with_quotient(lat):
             )
             twice = quotient(qmap.target, pushed).target
             assert is_isomorphic(twice, quotient(lat, phi).target)
+
+
+@settings(max_examples=40, deadline=5000)
+@given(lattices(), st.data())
+def test_theorem2_holds_for_random_theta(lat, data):
+    theta = random_congruence(lat, data)
+    for spec in (DISTRIBUTIVE, MODULAR):
+        report = verify_theorem2(lat, theta, spec)
+        assert report.ok, report.details
+
+
+@settings(max_examples=10, deadline=5000)
+@given(lattices(max_elements=4), lattices(max_elements=4), st.sampled_from((DISTRIBUTIVE, MODULAR)))
+def test_theorem3_holds_for_random_factors(l1, l2, spec):
+    # one class per example: the premise enumerates Con of a product of up
+    # to 16 elements, about 0.3 s each
+    report = verify_theorem3(l1, l2, spec)
+    assert report.ok, report.details

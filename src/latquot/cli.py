@@ -29,6 +29,16 @@ EXIT_FAIL = 2
 EXIT_SIZE = 3
 
 
+def _read_file(path):
+    """The UTF-8 text of the file ``path``; a decode error is a LatticeError
+    that names the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise LatticeError(f"{path}: {exc}") from None
+
+
 def load_lattice(source):
     """Load from "catalog:<name>", a file path, or "-" for stdin."""
     if source.startswith("catalog:"):
@@ -38,14 +48,12 @@ def load_lattice(source):
             raise LatticeError(str(exc)) from None
     if source == "-":
         return parse_lattice_text(sys.stdin.read())
-    with open(source, encoding="utf-8") as handle:
-        return parse_lattice_text(handle.read())
+    return parse_lattice_text(_read_file(source))
 
 
 def load_class(args):
     if getattr(args, "identities", None):
-        with open(args.identities, encoding="utf-8") as handle:
-            return parse_identity_file(handle.read())
+        return parse_identity_file(_read_file(args.identities))
     return BUILTIN_CLASSES[getattr(args, "klass", None) or "distributive"]
 
 

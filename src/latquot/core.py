@@ -262,18 +262,57 @@ def product(l1, l2):
     return Lattice(elements, meet, join)
 
 
-def is_distributive(lat):
-    """Exhaustive triple scan of a /\\ (b \\/ c) = (a /\\ b) \\/ (a /\\ c)."""
+def _bits(mask):
+    """The indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def distributive_failure(lat):
+    """None if ``lat`` is distributive, else an index pair (j, r), j != r,
+    that the distributive law forces together.
+
+    A finite lattice is distributive iff every join-irreducible is
+    join-prime (Birkhoff).  ``j`` is join-irreducible when its strictly
+    lower elements join to an element below ``j``, and join-prime when
+    ``j <= a \\/ b`` implies ``j <= a`` or ``j <= b``.  For each
+    join-irreducible ``j`` in index order, ``join`` is folded over the
+    elements ``x`` with ``j`` not below ``x``, in index order; if ``j`` is
+    not join-prime, the join of all of them lies above ``j``, and the
+    first fold ``acc \\/ x`` that does gives the failure.  The assignment
+    (j, acc, x) then breaks x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z): the
+    left side is ``j``, the right side ``r = (j /\\ acc) \\/ (j /\\ x)``
+    joins two elements strictly below ``j``, so it lies below the join of
+    everything strictly below ``j``, which is not ``j``.  O(n^2).
+    """
     n = len(lat)
-    meet, join = lat.meet_table, lat.join_table
-    for a in range(n):
-        ma = meet[a]
-        for b in range(n):
-            ab = ma[b]
-            for c in range(n):
-                if ma[join[b][c]] != join[ab][ma[c]]:
-                    return False
-    return True
+    meet, join, up, down = lat.meet_table, lat.join_table, lat.up, lat.down
+    everything = (1 << n) - 1
+    for j in range(n):
+        lower = _bits(down[j] & ~(1 << j))
+        acc = next(lower, None)
+        if acc is None:  # the bottom
+            continue
+        for x in lower:
+            acc = join[acc][x]
+        if acc == j:  # j is the join of its lower elements
+            continue
+        outside = _bits(everything & ~up[j])
+        acc = next(outside)  # the bottom is not above j
+        for x in outside:
+            joined = join[acc][x]
+            if up[j] >> joined & 1:
+                return j, join[meet[j][acc]][meet[j][x]]
+            acc = joined
+    return None
+
+
+def is_distributive(lat):
+    """True iff a /\\ (b \\/ c) = (a /\\ b) \\/ (a /\\ c) for all a, b, c;
+    decided by ``distributive_failure``."""
+    return distributive_failure(lat) is None
 
 
 def is_modular(lat):

@@ -4,7 +4,8 @@ Lattice file format:
     # comments and blank lines are ignored
     elements: id1 id2 ... idn
     covers: a<b c<d ...
-Identifiers are whitespace-free and must not contain '<'.
+Identifiers are whitespace-free, must not contain '<', and their brackets
+'(' / '{' and ')' / '}', counted as one kind, balance.
 """
 
 from __future__ import annotations
@@ -13,6 +14,20 @@ from itertools import cycle
 
 from .core import from_covers
 from .errors import LatticeError
+
+
+def _balances(name):
+    """True iff ``(``/``{`` and ``)``/``}`` in ``name``, counted as one kind,
+    balance, as ``parse_congruence_text`` counts them."""
+    depth = 0
+    for ch in name:
+        if ch in "({":
+            depth += 1
+        elif ch in ")}":
+            depth -= 1
+            if depth < 0:
+                return False
+    return depth == 0
 
 
 def parse_lattice_text(text):
@@ -26,6 +41,12 @@ def parse_lattice_text(text):
             if elements is not None:
                 raise LatticeError(f"line {lineno}: duplicate elements line")
             elements = line[len("elements:"):].split()
+            for e in elements:
+                if not _balances(e):
+                    raise LatticeError(
+                        f"line {lineno}: identifier {e!r} has unbalanced brackets, "
+                        "which block notation cannot carry"
+                    )
         elif line.startswith("covers:"):
             if covers is not None:
                 raise LatticeError(f"line {lineno}: duplicate covers line")

@@ -23,7 +23,7 @@ from .congruence import (
     push_congruence,
     quotient,
 )
-from .core import product
+from .core import Lattice, distributive_failure, product
 from .errors import SizeLimitExceeded
 from .terms import DISTRIBUTIVE, IdentitySweep, sweep_order
 
@@ -76,35 +76,89 @@ def check_work(size, spec, max_work):
         )
 
 
+# The three lattices that tell whether identities define exactly the
+# distributive class: the 2-element chain, the diamond M3 and the pentagon N5.
+_CHAIN2 = Lattice(("0", "1"), ((0, 0), (0, 1)), ((0, 1), (1, 1)))
+_M3 = Lattice(
+    ("0", "p", "q", "r", "1"),
+    ((0, 0, 0, 0, 0), (0, 1, 0, 0, 1), (0, 0, 2, 0, 2), (0, 0, 0, 3, 3), (0, 1, 2, 3, 4)),
+    ((0, 1, 2, 3, 4), (1, 1, 4, 4, 4), (2, 4, 2, 4, 4), (3, 4, 4, 3, 4), (4, 4, 4, 4, 4)),
+)
+# 0 < b < a < 1 and 0 < c < 1
+_N5 = Lattice(
+    ("0", "a", "b", "c", "1"),
+    ((0, 0, 0, 0, 0), (0, 1, 2, 0, 1), (0, 2, 2, 0, 2), (0, 0, 0, 3, 3), (0, 1, 2, 3, 4)),
+    ((0, 1, 2, 3, 4), (1, 1, 1, 4, 4), (2, 1, 2, 4, 4), (3, 4, 4, 3, 4), (4, 4, 4, 4, 4)),
+)
+
+
+def _defines_distributive(sweeps):
+    """True iff the compiled identities define exactly the distributive class.
+
+    That is so iff the 2-element chain satisfies them and neither M3 nor N5
+    does.  If 2 satisfies them, so does every distributive lattice, because
+    the distributive class is generated by 2 (D = HSP(2)).  If M3 and N5
+    fail them, so does every lattice with M3 or N5 as a sublattice, and a
+    lattice without either is distributive (Dedekind, Birkhoff).  The
+    converse holds since 2 is distributive and M3, N5 are not.
+    """
+    def holds(small):
+        return all(sweep.first_failure(small) is None for sweep in sweeps)
+
+    return holds(_CHAIN2) and not holds(_M3) and not holds(_N5)
+
+
 def kappa(lat, spec, max_work=None):
     """Least congruence whose quotient lies in the class.
 
     Witness-driven: starting from the identity congruence, each round
-    sweeps L/theta for the first assignment that breaks an identity,
-    lifts its two unequal values to block representatives a, b of L, and
-    replaces theta by the congruence generated by theta and (a, b).
+    looks in L/theta for an assignment that breaks an identity, lifts its
+    two unequal values to block representatives a, b of L, and replaces
+    theta by the congruence generated by theta and (a, b).
+
+    The assignment is found one of two ways.  When the identities define
+    exactly the distributive class (``_defines_distributive``: 2 satisfies
+    them, M3 and N5 do not; decided once per call, and for |L| >= 5 only,
+    since below that one sweep of L costs less than sweeping 2, M3 and
+    N5), it is the join-prime witness of ``distributive_failure``: a
+    join-irreducible j of L/theta and elements acc, x with
+    j <= acc \\/ x, j not below acc or x, on which the distributive law's
+    sides are j and (j /\\ acc) \\/ (j /\\ x) < j.  Otherwise it is the
+    first failing assignment of a sweep of every assignment
+    (``_first_failure``).
 
     Why the result is least: let phi >= theta have its quotient in the
     class.  Lift the failing assignment to L; the two sides of the
     identity evaluate in L to elements of the blocks of a and b, and
     L/phi satisfies the identity, so phi identifies them, hence also a
-    and b.  So phi lies above the new theta as well, and by induction
-    every theta the loop visits lies below every congruence whose
-    quotient is in the class.  Each round merges two blocks, so the loop
-    ends, and it ends on a sweep that finds no failure: that sweep is the
-    proof that the quotient by the returned theta is in the class.
+    and b.  For the join-prime witness the identity is the distributive
+    law, which holds in L/phi since the class is the distributive one.
+    So phi lies above the new theta as well, and by induction every theta
+    the loop visits lies below every congruence whose quotient is in the
+    class.  Each round merges two blocks, so the loop ends, and it ends on
+    a search that finds no failure: that search is the proof that the
+    quotient by the returned theta is in the class (for the join-prime
+    path, by Birkhoff's theorem: a finite lattice whose join-irreducibles
+    are all join-prime is distributive).
 
-    ``max_work`` caps one full sweep of L (see ``check_work``); above it,
-    SizeLimitExceeded is raised before any sweep.
+    ``max_work`` caps one full sweep of L (see ``check_work``), for every
+    class, the distributive one included; above it, SizeLimitExceeded is
+    raised before any search.
     """
     check_work(len(lat), spec, max_work)
     sweeps = _sweeps(spec)
+    if len(lat) >= 5 and _defines_distributive(sweeps):
+        find = distributive_failure
+    else:
+        def find(target):
+            failure = _first_failure(target, sweeps)
+            return None if failure is None else failure[2:]
     theta = identity_congruence(lat)
     while True:
-        failure = _first_failure(quotient(lat, theta).target, sweeps)
-        if failure is None:
+        pair = find(quotient(lat, theta).target)
+        if pair is None:
             return theta
-        _, _, left, right = failure
+        left, right = pair
         reps = sorted(set(theta.block_of))
         pairs = [(i, r) for i, r in enumerate(theta.block_of) if i != r]
         pairs.append((reps[left], reps[right]))

@@ -260,3 +260,12 @@ def test_usage_errors_exit_one_and_help_zero(capsys):
         assert out == "" and "usage:" in err
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "usage:" in out
+
+
+def test_decode_errors_name_the_file(capsys, tmp_path):
+    path = tmp_path / "bytes.lat"
+    path.write_bytes(b"\xff\xfe elements: 0 1\n")
+    for argv in (["info", str(path)], ["kappa", "catalog:n5", "--identities", str(path)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode"), err

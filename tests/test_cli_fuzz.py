@@ -46,7 +46,8 @@ FLAGS = (
     ("--highlight", "{0}{a,b}{c}{1}"), ("--help",), ("-x",),
 )
 LATTICE_TEXTS = tuple(dump_lattice_text(resolve(name).lattice) for name in ("n5", "m3", "chain-2"))
-IDENTITY_TEXTS = ("x = y\n", r"x /\ (y \/ z) = (x /\ y) \/ (x /\ z)" "\n", "x = (x\n",
+IDENTITY_TEXTS = ("x = y\n", r"x /\ (y \/ z) = (x /\ y) \/ (x /\ z)" "\n",
+                  r"x \/ (y /\ z) = (x \/ y) /\ (x \/ z)" "\n", "x = (x\n",
                   "x = " + "(" * 200 + "x" + ")" * 200 + "\n", "# none\n")
 
 # fragments of both file formats, so that random text sometimes nearly parses

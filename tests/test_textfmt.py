@@ -1,16 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_kappa_differential import lattices
 
 from latquot import (
     delta,
     dump_lattice_text,
     free_modular_3,
     from_covers,
+    is_isomorphic,
     n5,
     parse_congruence_text,
     parse_lattice_text,
     to_dot,
 )
 from latquot.errors import LatticeError, NotALattice
+from latquot.textfmt import _balances
 
 
 def test_parse_basic_file():
@@ -112,3 +117,40 @@ def test_dot_escapes_quotes_and_backslashes():
     highlighted = to_dot(lat, highlight=delta(lat), name='my "graph"')
     assert highlighted.startswith('digraph "my \\"graph\\"" {')
     assert '[label="say\\"hi\\"", style=filled' in highlighted
+
+
+@pytest.mark.parametrize("bad", ["a(", "a}", ")a(", "{a", "(a))"])
+def test_parse_rejects_identifiers_block_notation_cannot_carry(bad):
+    # "a(" used to render as {0,a(}{b,1}, and that failed with "unbalanced braces"
+    text = f"elements: 0 {bad} b 1\ncovers: 0<{bad} 0<b {bad}<1 b<1\n"
+    with pytest.raises(LatticeError, match="unbalanced brackets"):
+        parse_lattice_text(text)
+
+
+@pytest.mark.parametrize("name", ["(a}", "{a)", "f(x)", "[a", "a]", "{}"])
+def test_balanced_identifiers_round_trip_through_block_notation(name):
+    from latquot import principal_congruence
+
+    lat = parse_lattice_text(f"elements: 0 {name} b 1\ncovers: 0<{name} 0<b {name}<1 b<1\n")
+    theta = principal_congruence(lat, "0", name)
+    assert parse_congruence_text(theta.render(lat)) == [["0", name], ["b", "1"]]
+
+
+def test_catalog_identifiers_balance(catalog):
+    for named in catalog:
+        text = dump_lattice_text(named.lattice)
+        assert parse_lattice_text(text).elements == named.lattice.elements
+
+
+_names = st.text(alphabet="ab1_,()[]{}", min_size=1, max_size=5).filter(_balances)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattices(), st.data())
+def test_parse_of_dump_is_isomorphic(lat, data):
+    names = data.draw(st.lists(_names, min_size=len(lat), max_size=len(lat), unique=True))
+    renamed = dict(zip(lat.elements, names))
+    lat = from_covers(names, [(renamed[a], renamed[b]) for a, b in lat.covers()])
+    again = parse_lattice_text(dump_lattice_text(lat))
+    assert again.elements == lat.elements
+    assert is_isomorphic(again, lat)

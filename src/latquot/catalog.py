@@ -156,7 +156,9 @@ def free_modular_3():
 
 
 def free_lattice_small(n):
-    """The free lattice on n generators, for the finite cases n <= 2."""
+    """The free lattice on n generators, for the finite cases 1 <= n <= 2."""
+    if n < 1:
+        raise UnsupportedRank("the free lattice needs at least one generator")
     if n == 1:
         return NamedLattice(from_covers(["x"], []), "f-1", {"x": "x"})
     if n == 2:
@@ -179,9 +181,12 @@ def resolve(name):
     for prefix, builder in (("chain-", chain), ("boolean-", boolean),
                             ("fd-", free_distributive), ("f-", free_lattice_small)):
         if name.startswith(prefix):
+            rank = name[len(prefix):]
+            if not (rank.isascii() and rank.isdigit()):
+                break
             try:
-                rank = int(name[len(prefix):])
-            except ValueError:
+                rank = int(rank)
+            except ValueError:  # more digits than int() converts
                 break
             return builder(rank)
     raise KeyError(f"unknown catalog lattice {name!r}")

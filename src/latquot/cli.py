@@ -216,8 +216,11 @@ def cmd_catalog(args):
     return EXIT_OK
 
 
-def _add_common(sub):
+def _add_json(sub):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
+
+
+def _add_max_con(sub):
     sub.add_argument("--max-con", type=int, default=12, metavar="N",
                      help="congruence enumeration cap (default 12)")
 
@@ -241,32 +244,34 @@ def build_parser():
 
     p = subs.add_parser("info", help="size, distributivity, modularity, |Con|")
     p.add_argument("lattice")
-    _add_common(p)
+    _add_json(p)
+    _add_max_con(p)
     p.set_defaults(func=cmd_info)
 
     for name in ("delta", "kappa"):
         p = subs.add_parser(name, help="least congruence with quotient in the class")
         p.add_argument("lattice")
         _add_class(p)
-        _add_common(p)
+        _add_json(p)
         p.set_defaults(func=cmd_delta)
 
     p = subs.add_parser("quotient", help="emit the quotient lattice as text")
     p.add_argument("lattice")
     p.add_argument("congruence", help="block notation, or the keyword delta/kappa")
     _add_class(p)
-    _add_common(p)
+    _add_json(p)
     p.set_defaults(func=cmd_quotient)
 
     p = subs.add_parser("product", help="emit the direct product as text")
     p.add_argument("lattice")
     p.add_argument("other")
-    _add_common(p)
+    _add_json(p)
     p.set_defaults(func=cmd_product)
 
     p = subs.add_parser("congruences", help="enumerate the congruence lattice")
     p.add_argument("lattice")
-    _add_common(p)
+    _add_json(p)
+    _add_max_con(p)
     p.set_defaults(func=cmd_congruences)
 
     p = subs.add_parser("check", help="verify a structural theorem")
@@ -274,7 +279,8 @@ def build_parser():
     p.add_argument("lattice")
     p.add_argument("other", nargs="?", help="second lattice (theorem 3)")
     _add_class(p)
-    _add_common(p)
+    _add_json(p)
+    _add_max_con(p)
     p.set_defaults(func=cmd_check)
 
     p = subs.add_parser("dot", help="Hasse diagram in DOT format")
@@ -282,13 +288,11 @@ def build_parser():
     p.add_argument("--highlight", metavar="CONG",
                    help="congruence (block notation or delta/kappa) to cluster")
     _add_class(p)
-    _add_common(p)
     p.set_defaults(func=cmd_dot)
 
     p = subs.add_parser("catalog", help="list or dump the stock lattices")
     p.add_argument("action", choices=("list", "dump"))
     p.add_argument("name", nargs="?")
-    _add_common(p)
     p.set_defaults(func=cmd_catalog)
 
     return parser

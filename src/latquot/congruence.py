@@ -157,15 +157,18 @@ def is_congruence(lat, blocks):
         return exc.witness
 
 
-def _congruence_closure(lat, seed_pairs):
-    """Least congruence merging every seed pair (index-level).
+def _congruence_closure(lat, uf, seed_pairs):
+    """Least congruence above the partition ``uf`` that merges every seed
+    pair (index-level); ``uf`` is extended in place.
 
     Worklist closure under the unary translations t -> t /\\ c and
     t -> t \\/ c; partition merging supplies symmetry and transitivity,
     and for lattices the unary translations imply full compatibility.
+    Only the seed pairs and the merges they cause are translated, so
+    ``uf`` must already be a congruence: a fresh one, or the result of an
+    earlier closure.
     """
     n = len(lat)
-    uf = _UnionFind(n)
     work = []
     for a, b in seed_pairs:
         if uf.union(a, b):
@@ -184,12 +187,13 @@ def _congruence_closure(lat, seed_pairs):
 
 def principal_congruence(lat, a, b):
     """theta(a, b): the least congruence identifying a and b."""
-    return _congruence_closure(lat, [(lat.index(a), lat.index(b))])
+    return _congruence_closure(lat, _UnionFind(len(lat)), [(lat.index(a), lat.index(b))])
 
 
 def generated_congruence(lat, pairs):
     """Least congruence containing every (a, b) identifier pair."""
-    return _congruence_closure(lat, [(lat.index(a), lat.index(b)) for a, b in pairs])
+    pairs = [(lat.index(a), lat.index(b)) for a, b in pairs]
+    return _congruence_closure(lat, _UnionFind(len(lat)), pairs)
 
 
 def _check_same_lattice(t1, t2):

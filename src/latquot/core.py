@@ -5,6 +5,12 @@ total meet/join tables of indices.  The tables are the data; the order is
 derived from the meet table once, at construction, as per-element bitsets.
 All public operations take and return identifiers; indices are internal.
 Instances are immutable after construction.
+
+``is_identifier`` is the one rule for element identifiers, so that the
+text format and block notation can carry every one of them.
+``from_covers``, and through it every lattice file, enforces it; the
+constructions that derive new identifiers from old ones (``product``,
+``restrict``, ``congruence.quotient``) keep them identifiers.
 """
 
 from __future__ import annotations
@@ -21,6 +27,28 @@ from .errors import (
     UnknownElement,
 )
 
+OPENING = "([{"
+CLOSING = ")]}"
+
+
+def is_identifier(name):
+    """True iff ``name`` can identify an element: it is non-empty, has no
+    whitespace and no '<', its brackets ``OPENING`` / ``CLOSING``, counted
+    as one kind, balance, and every comma lies inside a bracket."""
+    if name.split() != [name] or "<" in name:
+        return False
+    depth = 0
+    for ch in name:
+        if ch in OPENING:
+            depth += 1
+        elif ch in CLOSING:
+            depth -= 1
+            if depth < 0:
+                return False
+        elif ch == "," and depth == 0:
+            return False
+    return depth == 0
+
 
 class Lattice:
     """A finite lattice on named elements, given by its meet and join tables.
@@ -29,7 +57,9 @@ class Lattice:
     ``i /\\ j`` and ``i \\/ j``.  The order is derived from the meet:
     ``i <= j`` iff ``i /\\ j == i``.  ``down[i]`` and ``up[i]`` are bitsets of
     the indices below / above element ``i`` (inclusive).  The tables are
-    trusted; ``_validate`` checks the lattice axioms on them.  Use
+    trusted; ``_validate`` checks the lattice axioms on them.  The
+    identifiers are trusted as well: ``is_identifier`` is checked by
+    ``from_covers``, not here.  Use
     :func:`from_covers` (or the constructors in :mod:`latquot.catalog`) to
     build a lattice from Hasse data.
     """
@@ -175,8 +205,7 @@ def from_covers(elements, covers):
     is the reflexive-transitive closure of the cover relation.  Raises
     DuplicateElement, UnknownElement, CycleDetected, or NotALattice (with a
     witness pair) when the data does not describe a lattice, and
-    LatticeError for an identifier the text format cannot carry: one that
-    is empty or contains '<' or whitespace.
+    LatticeError for a name that is not ``is_identifier``.
     """
     elements = list(elements)
     if len(set(elements)) != len(elements):
@@ -184,8 +213,11 @@ def from_covers(elements, covers):
     if not elements:
         raise LatticeError("empty carrier is not a lattice")
     for e in elements:
-        if e.split() != [e] or "<" in e:
-            raise LatticeError(f"identifier {e!r} is empty or contains '<' or whitespace")
+        if not is_identifier(e):
+            raise LatticeError(
+                f"identifier {e!r} is empty, or has whitespace, '<', unbalanced brackets "
+                "or a comma outside brackets"
+            )
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     up = [1 << i for i in range(n)]
@@ -216,45 +248,14 @@ def from_covers(elements, covers):
     return Lattice(elements, meet, join)
 
 
-def _nests(name):
-    """True iff the brackets ``([{`` / ``)]}`` in ``name``, counted as one kind,
-    balance and every comma lies inside a bracket."""
-    depth = 0
-    for ch in name:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-            if depth < 0:
-                return False
-        elif ch == "," and depth == 0:
-            return False
-    return depth == 0
-
-
-def _pair_names(names1, names2):
-    """Product identifiers of all pairs, row-major; injective over all
-    identifiers.
-
-    When p and q both nest, (p, q) is named "(p,q)": split at its only
-    comma outside brackets, it gives back p and q, and it nests again, so
-    products of products keep this form.  Otherwise the name is
-    "{len(p):p,q}": it starts with "{", so it never equals the first form,
-    and the length gives back p.
-    """
-    nests2 = [_nests(q) for q in names2]
-    out = []
-    for p in names1:
-        nests1 = _nests(p)
-        for q, nests in zip(names2, nests2):
-            out.append(f"({p},{q})" if nests1 and nests else f"{{{len(p)}:{p},{q}}}")
-    return out
-
-
 def product(l1, l2):
-    """Direct product with componentwise order; ids are "(p,q)" strings
-    (see ``_pair_names`` for factor ids with stray commas or brackets)."""
-    elements = _pair_names(l1.elements, l2.elements)
+    """Direct product with componentwise order; ids are "(p,q)" strings.
+
+    Split at its only comma directly inside the outer brackets, "(p,q)"
+    gives back p and q, so the names are distinct; they are identifiers
+    again.
+    """
+    elements = [f"({p},{q})" for p in l1.elements for q in l2.elements]
     n2 = len(l2)
     # (i1, j1) is index i1 * n2 + j1, so rows pair up row-major as well
     meet = [[x * n2 + y for x in r1 for y in r2] for r1 in l1.meet_table for r2 in l2.meet_table]

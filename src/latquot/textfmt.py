@@ -4,30 +4,18 @@ Lattice file format:
     # comments and blank lines are ignored
     elements: id1 id2 ... idn
     covers: a<b c<d ...
-Identifiers are whitespace-free, must not contain '<', and their brackets
-'(' / '{' and ')' / '}', counted as one kind, balance.
+Identifiers follow ``core.is_identifier`` (checked by ``from_covers``): no
+whitespace, no '<', brackets that balance when '([{' and ')]}' are counted
+as one kind, and commas only inside brackets.  Block notation splits on
+the same brackets, so it carries every identifier.
 """
 
 from __future__ import annotations
 
 from itertools import cycle
 
-from .core import from_covers
+from .core import CLOSING, OPENING, from_covers
 from .errors import LatticeError
-
-
-def _balances(name):
-    """True iff ``(``/``{`` and ``)``/``}`` in ``name``, counted as one kind,
-    balance, as ``parse_congruence_text`` counts them."""
-    depth = 0
-    for ch in name:
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
 
 
 def parse_lattice_text(text):
@@ -41,12 +29,6 @@ def parse_lattice_text(text):
             if elements is not None:
                 raise LatticeError(f"line {lineno}: duplicate elements line")
             elements = line[len("elements:"):].split()
-            for e in elements:
-                if not _balances(e):
-                    raise LatticeError(
-                        f"line {lineno}: identifier {e!r} has unbalanced brackets, "
-                        "which block notation cannot carry"
-                    )
         elif line.startswith("covers:"):
             if covers is not None:
                 raise LatticeError(f"line {lineno}: duplicate covers line")
@@ -72,15 +54,13 @@ def dump_lattice_text(lat):
 def parse_congruence_text(text):
     """Parse block notation "{a,b}{c}..." into a list of id-lists.
 
-    Commas, braces, and parentheses may occur inside identifiers; a block
-    boundary is a close brace at nesting depth zero, a member boundary a
-    comma at depth one.
+    Brackets ``OPENING`` / ``CLOSING`` nest, counted as one kind, as in
+    ``core.is_identifier``; a block ends at the '}' that closes its '{',
+    and members are split at the commas directly inside the block.
     """
     text = text.strip()
     blocks = []
     depth = 0
-    current = None
-    member = []
     for ch in text:
         if depth == 0:
             if ch != "{":
@@ -89,25 +69,21 @@ def parse_congruence_text(text):
             current = []
             member = []
             continue
-        if ch in "{(":
+        if ch in OPENING:
             depth += 1
-            member.append(ch)
-        elif ch == ")":
-            depth -= 1
-            member.append(ch)
-        elif ch == "}":
+        elif ch in CLOSING:
             depth -= 1
             if depth == 0:
+                if ch != "}":
+                    raise LatticeError(f"block closed by {ch!r}, not '}}'")
                 current.append("".join(member))
                 blocks.append(current)
-                current = None
-            else:
-                member.append(ch)
+                continue
         elif ch == "," and depth == 1:
             current.append("".join(member))
             member = []
-        else:
-            member.append(ch)
+            continue
+        member.append(ch)
     if depth != 0:
         raise LatticeError("unbalanced braces in congruence")
     if not blocks:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .congruence import (
     Congruence,
     _congruence_closure,
+    _UnionFind,
     all_congruences,
     cong_join,
     cong_meet,
@@ -153,6 +154,7 @@ def kappa(lat, spec, max_work=None):
         def find(target):
             failure = _first_failure(target, sweeps)
             return None if failure is None else failure[2:]
+    uf = _UnionFind(len(lat))  # the blocks of theta, grown by one forced pair a round
     theta = identity_congruence(lat)
     while True:
         pair = find(quotient(lat, theta).target)
@@ -160,9 +162,7 @@ def kappa(lat, spec, max_work=None):
             return theta
         left, right = pair
         reps = sorted(set(theta.block_of))
-        pairs = [(i, r) for i, r in enumerate(theta.block_of) if i != r]
-        pairs.append((reps[left], reps[right]))
-        theta = _congruence_closure(lat, pairs)
+        theta = _congruence_closure(lat, uf, [(reps[left], reps[right])])
 
 
 def delta(lat):
@@ -278,8 +278,8 @@ def _factor_congruence(l1, l2, theta):
             if theta.same(a, b):
                 pairs1.append((a // n2, b // n2))
                 pairs2.append((a % n2, b % n2))
-    t1 = _congruence_closure(l1, pairs1)
-    t2 = _congruence_closure(l2, pairs2)
+    t1 = _congruence_closure(l1, _UnionFind(len(l1)), pairs1)
+    t2 = _congruence_closure(l2, _UnionFind(len(l2)), pairs2)
     if _product_congruence(l1, l2, t1, t2) == theta:
         return (t1, t2)
     return None

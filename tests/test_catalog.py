@@ -139,3 +139,27 @@ def test_catalog_validates(catalog):
         Lattice(lat.elements, lat.meet_table, lat.join_table)._validate()
         for label, elem in named.distinguished.items():
             assert elem in lat.elements, label
+
+
+@pytest.mark.parametrize("name", ["chain- 3", "chain-+3", "chain-3 ", "boolean-٣", "fd-²",
+                                  "f--1", "chain--1", "chain-"])
+def test_resolve_takes_ranks_of_ascii_digits_only(name):
+    # int() used to accept all of these
+    with pytest.raises(KeyError, match="unknown catalog lattice"):
+        resolve(name)
+
+
+def test_free_lattice_without_generators():
+    # f-0 used to say the free lattice on 3 or more generators is infinite
+    with pytest.raises(UnsupportedRank, match="at least one generator"):
+        resolve("f-0")
+    with pytest.raises(UnsupportedRank, match="at least one generator"):
+        free_lattice_small(-1)
+    with pytest.raises(UnsupportedRank, match="infinite"):
+        resolve("f-3")
+
+
+def test_resolve_refuses_a_rank_too_long_to_convert():
+    # int() may refuse more than 4300 digits: an unknown name, not a ValueError
+    with pytest.raises((KeyError, UnsupportedRank)):
+        resolve("chain-" + "9" * 5000)

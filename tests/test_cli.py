@@ -269,3 +269,48 @@ def test_decode_errors_name_the_file(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.startswith(f"error: {path}: 'utf-8' codec can't decode"), err
+
+
+def _write_square(tmp_path, odd):
+    # 0 < odd, c < 1: a four-element Boolean lattice with one odd identifier
+    path = tmp_path / "square.lat"
+    path.write_text(f"elements: 0 {odd} c 1\ncovers: 0<{odd} 0<c {odd}<1 c<1\n")
+    return str(path)
+
+
+def test_bracketed_comma_identifier_round_trips(capsys, tmp_path):
+    # "{0,[a,b]}{c,1}" used to fail with "unknown element '[a'"
+    path = _write_square(tmp_path, "[a,b]")
+    code, out, _ = run(capsys, "congruences", path)
+    assert code == 0
+    assert "{0,[a,b]}{c,1}" in out.splitlines()
+    for blocks in out.splitlines():
+        code, quot, err = run(capsys, "quotient", path, blocks)
+        assert code == 0, (blocks, err)
+        parse_lattice_text(quot)
+
+
+@pytest.mark.parametrize("odd", ["x,y", "a("])
+def test_identifiers_without_a_round_trip_exit_one(capsys, tmp_path, odd):
+    # "x,y" rendered as "{0,x,y}{c,1}", which read back as three elements
+    path = _write_square(tmp_path, odd)
+    for argv in (["info", path], ["congruences", path]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: identifier {odd!r} ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dot", "catalog:n5", "--json"],
+    ["dot", "catalog:n5", "--max-con", "3"],
+    ["catalog", "dump", "n5", "--json"],
+    ["catalog", "list", "--max-con", "3"],
+    ["delta", "catalog:n5", "--max-con", "3"],
+    ["kappa", "catalog:n5", "--max-con", "3"],
+    ["quotient", "catalog:n5", "delta", "--max-con", "3"],
+    ["product", "catalog:n5", "catalog:m3", "--max-con", "3"],
+])
+def test_flags_that_nothing_reads_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err

@@ -24,6 +24,7 @@ from latquot.errors import (
     SizeLimitExceeded,
     UnknownElement,
 )
+from latquot.core import CLOSING, OPENING, is_identifier
 
 N5_ELEMENTS = ["0", "a", "b", "c", "1"]
 N5_COVERS = [("0", "b"), ("b", "a"), ("a", "1"), ("0", "c"), ("c", "1")]
@@ -66,9 +67,10 @@ def test_from_covers_cycle():
         from_covers(["x", "y"], [("x", "y"), ("y", "x")])
 
 
-@pytest.mark.parametrize("bad", ["p<q", "p q", "p\tq", "p\n", ""])
+@pytest.mark.parametrize("bad", ["p<q", "p q", "p\tq", "p\n", "", "x,y", "a(", "[a"])
 def test_from_covers_rejects_identifiers_the_text_format_cannot_carry(bad):
     # "p<q" used to be accepted, and its dump then failed to re-parse
+    assert not is_identifier(bad)
     with pytest.raises(LatticeError):
         from_covers([bad, "r"], [(bad, "r")])
 
@@ -158,13 +160,16 @@ def test_product_componentwise(catalog):
 
 
 def test_product_of_comma_identifiers():
-    # "(x,y,z)" used to name both ("x", "y,z") and ("x,y", "z")
-    l1 = from_covers(["x", "x,y"], [("x", "x,y")])
-    l2 = from_covers(["y,z", "z"], [("y,z", "z")])
+    # "(x,y,z)" used to name both ("x", "y,z") and ("x,y", "z"); a comma
+    # outside brackets is now refused, and bracketed, the names stay apart
+    with pytest.raises(LatticeError, match="comma outside brackets"):
+        from_covers(["x", "x,y"], [("x", "x,y")])
+    l1 = from_covers(["x", "(x,y)"], [("x", "(x,y)")])
+    l2 = from_covers(["(y,z)", "z"], [("(y,z)", "z")])
     prod = product(l1, l2)
     assert len(set(prod.elements)) == 4
-    assert prod.meet("(x,z)", "{3:x,y,y,z}") == "{1:x,y,z}"
-    assert prod.join("(x,z)", "{3:x,y,y,z}") == "{3:x,y,z}"
+    assert prod.meet("(x,z)", "((x,y),(y,z))") == "(x,(y,z))"
+    assert prod.join("(x,z)", "((x,y),(y,z))") == "((x,y),z)"
     assert is_isomorphic(prod, boolean(2).lattice)
 
 
@@ -175,7 +180,22 @@ def test_product_names_of_nesting_identifiers_are_unchanged():
                                     "((0,p),[a,(b)])")
 
 
-identifiers = st.text(alphabet="a,()[]{}", min_size=1, max_size=6)
+def _bracket(parts):
+    opening, members, closing = parts
+    return opening + ",".join(members) + closing
+
+
+# identifiers built to satisfy is_identifier: words, bracketed comma lists of
+# identifiers (the two brackets need not match), and their concatenations
+identifiers = st.recursive(
+    st.text(alphabet="ab1_", min_size=1, max_size=3),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(OPENING), st.lists(inner, max_size=3),
+                  st.sampled_from(CLOSING)).map(_bracket),
+        st.lists(inner, min_size=2, max_size=3).map("".join),
+    ),
+    max_leaves=5,
+)
 
 
 @given(st.lists(identifiers, min_size=1, max_size=4, unique=True),
@@ -185,16 +205,19 @@ def test_product_names_are_injective(names1, names2):
     l2 = from_covers(names2, list(zip(names2, names2[1:])))
     prod = product(l1, l2)
     assert len(set(prod.elements)) == len(names1) * len(names2)
+    assert all(is_identifier(name) for name in prod.elements)
     again = product(prod, l1)
     assert len(set(again.elements)) == len(prod) * len(l1)
+    assert all(is_identifier(name) for name in again.elements)
 
 
 @given(identifiers, identifiers, identifiers)
 def test_product_names_of_one_string_split_two_ways(a, b, c):
-    # "(p,q)" reads "a,b,c" for both (a, "b,c") and ("a,b", c)
-    l1 = from_covers([a, f"{a},{b}"], [(a, f"{a},{b}")])
-    l2 = from_covers([f"{b},{c}", c], [(f"{b},{c}", c)])
-    assert len(set(product(l1, l2).elements)) == 4
+    # "(p,q)" would read "a,b,c" for both (a, "b,c") and ("a,b", c), but
+    # "a,b" and "b,c" have a comma outside brackets, so they are refused
+    for joined in (f"{a},{b}", f"{b},{c}"):
+        with pytest.raises(LatticeError, match="comma outside brackets"):
+            from_covers([joined], [])
 
 
 def test_distributivity_classifications():

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 from test_kappa_differential import lattices
 
 from latquot import (
+    all_congruences,
+    congruence_from_blocks,
     delta,
     dump_lattice_text,
     free_modular_3,
@@ -12,10 +14,11 @@ from latquot import (
     n5,
     parse_congruence_text,
     parse_lattice_text,
+    quotient,
     to_dot,
 )
 from latquot.errors import LatticeError, NotALattice
-from latquot.textfmt import _balances
+from latquot.core import is_identifier
 
 
 def test_parse_basic_file():
@@ -65,8 +68,6 @@ def test_congruence_block_notation_nested_names():
 def test_congruence_render_round_trip():
     lat = free_modular_3().lattice
     theta = delta(lat)
-    from latquot import congruence_from_blocks
-
     assert congruence_from_blocks(lat, parse_congruence_text(theta.render(lat))) == theta
 
 
@@ -119,7 +120,7 @@ def test_dot_escapes_quotes_and_backslashes():
     assert '[label="say\\"hi\\"", style=filled' in highlighted
 
 
-@pytest.mark.parametrize("bad", ["a(", "a}", ")a(", "{a", "(a))"])
+@pytest.mark.parametrize("bad", ["a(", "a}", ")a(", "{a", "(a))", "[a", "a]"])
 def test_parse_rejects_identifiers_block_notation_cannot_carry(bad):
     # "a(" used to render as {0,a(}{b,1}, and that failed with "unbalanced braces"
     text = f"elements: 0 {bad} b 1\ncovers: 0<{bad} 0<b {bad}<1 b<1\n"
@@ -127,7 +128,7 @@ def test_parse_rejects_identifiers_block_notation_cannot_carry(bad):
         parse_lattice_text(text)
 
 
-@pytest.mark.parametrize("name", ["(a}", "{a)", "f(x)", "[a", "a]", "{}"])
+@pytest.mark.parametrize("name", ["(a}", "{a)", "f(x)", "{}", "[a,b]", "(x,[y)]"])
 def test_balanced_identifiers_round_trip_through_block_notation(name):
     from latquot import principal_congruence
 
@@ -142,15 +143,29 @@ def test_catalog_identifiers_balance(catalog):
         assert parse_lattice_text(text).elements == named.lattice.elements
 
 
-_names = st.text(alphabet="ab1_,()[]{}", min_size=1, max_size=5).filter(_balances)
+_names = st.text(alphabet="ab1_,()[]{}", min_size=1, max_size=5).filter(is_identifier)
+
+
+def _renamed(lat, data):
+    """``lat`` with its elements renamed to distinct identifiers drawn by ``data``."""
+    names = data.draw(st.lists(_names, min_size=len(lat), max_size=len(lat), unique=True))
+    renamed = dict(zip(lat.elements, names))
+    return from_covers(names, [(renamed[a], renamed[b]) for a, b in lat.covers()])
 
 
 @settings(max_examples=100, deadline=None)
 @given(lattices(), st.data())
 def test_parse_of_dump_is_isomorphic(lat, data):
-    names = data.draw(st.lists(_names, min_size=len(lat), max_size=len(lat), unique=True))
-    renamed = dict(zip(lat.elements, names))
-    lat = from_covers(names, [(renamed[a], renamed[b]) for a, b in lat.covers()])
+    lat = _renamed(lat, data)
     again = parse_lattice_text(dump_lattice_text(lat))
     assert again.elements == lat.elements
     assert is_isomorphic(again, lat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattices(), st.data())
+def test_every_congruence_round_trips_through_block_notation(lat, data):
+    lat = _renamed(lat, data)
+    for theta in all_congruences(lat):
+        assert congruence_from_blocks(lat, parse_congruence_text(theta.render(lat))) == theta
+        assert all(is_identifier(name) for name in quotient(lat, theta).target.elements)

@@ -1,9 +1,13 @@
 """Congruences of finite lattices and quotient construction.
 
 A congruence is stored as a canonical partition: ``block_of[i]`` is the
-smallest index in the block of element ``i``.  ``congruence_from_blocks``
-and ``cong_join`` check compatibility with meet and join; ``quotient``
-trusts its congruence and does not re-validate L/theta.
+smallest index in the block of element ``i``.  Congruences are generated
+on a ``_Partition``, the same label array plus the member list of each
+block, grown in place: a merge relabels the members of the block with the
+larger label, so the labels stay block minima and the closure's result
+needs no relabelling pass.  ``congruence_from_blocks`` and ``cong_join``
+check compatibility with meet and join; ``quotient`` trusts its
+congruence and does not re-validate L/theta.
 """
 
 from __future__ import annotations
@@ -72,30 +76,31 @@ def _canonical(parent_of):
     return tuple(min_of[parent_of[i]] for i in range(n))
 
 
-class _UnionFind:
+class _Partition:
+    """A partition of the indices 0..n-1, grown in place by merging blocks.
+
+    ``block_of[i]`` is the least index of ``i``'s block and ``members[r]``
+    lists the block labelled ``r`` (empty once merged away).  A merge
+    relabels the block with the larger label, so ``block_of`` stays
+    canonical and is a ``Congruence``'s labelling as it stands.
+    """
+
+    __slots__ = ("block_of", "members")
+
     def __init__(self, n):
-        self.parent = list(range(n))
+        self.block_of = list(range(n))
+        self.members = [[i] for i in range(n)]
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        """Merge; returns True if the blocks were distinct."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
-
-    def to_congruence(self, lattice_size):
-        return Congruence(lattice_size, _canonical([self.find(i) for i in range(lattice_size)]))
+    def merge(self, x, y):
+        """Merge the blocks of x and y, which must be distinct."""
+        block_of, members = self.block_of, self.members
+        keep, gone = block_of[x], block_of[y]
+        if gone < keep:
+            keep, gone = gone, keep
+        for i in members[gone]:
+            block_of[i] = keep
+        members[keep] += members[gone]
+        members[gone] = []
 
 
 def identity_congruence(lat):
@@ -157,43 +162,43 @@ def is_congruence(lat, blocks):
         return exc.witness
 
 
-def _congruence_closure(lat, uf, seed_pairs):
-    """Least congruence above the partition ``uf`` that merges every seed
-    pair (index-level); ``uf`` is extended in place.
+def _congruence_closure(lat, part, seed_pairs):
+    """Least congruence above the partition ``part`` that merges every seed
+    pair (index-level); ``part`` is extended in place.
 
     Worklist closure under the unary translations t -> t /\\ c and
     t -> t \\/ c; partition merging supplies symmetry and transitivity,
     and for lattices the unary translations imply full compatibility.
     Only the seed pairs and the merges they cause are translated, so
-    ``uf`` must already be a congruence: a fresh one, or the result of an
-    earlier closure.
+    ``part`` must already be a congruence: a fresh one, or the result of
+    an earlier closure.
     """
-    n = len(lat)
+    block_of = part.block_of
     work = []
     for a, b in seed_pairs:
-        if uf.union(a, b):
+        if block_of[a] != block_of[b]:
+            part.merge(a, b)
             work.append((a, b))
     meet, join = lat.meet_table, lat.join_table
     while work:
         x, y = work.pop()
-        mx, my = meet[x], meet[y]
-        jx, jy = join[x], join[y]
-        for c in range(n):
-            for p, q in ((mx[c], my[c]), (jx[c], jy[c])):
-                if uf.union(p, q):
+        for row_x, row_y in ((meet[x], meet[y]), (join[x], join[y])):
+            for p, q in zip(row_x, row_y):
+                if block_of[p] != block_of[q]:
+                    part.merge(p, q)
                     work.append((p, q))
-    return uf.to_congruence(n)
+    return Congruence(len(lat), block_of)
 
 
 def principal_congruence(lat, a, b):
     """theta(a, b): the least congruence identifying a and b."""
-    return _congruence_closure(lat, _UnionFind(len(lat)), [(lat.index(a), lat.index(b))])
+    return _congruence_closure(lat, _Partition(len(lat)), [(lat.index(a), lat.index(b))])
 
 
 def generated_congruence(lat, pairs):
     """Least congruence containing every (a, b) identifier pair."""
     pairs = [(lat.index(a), lat.index(b)) for a, b in pairs]
-    return _congruence_closure(lat, _UnionFind(len(lat)), pairs)
+    return _congruence_closure(lat, _Partition(len(lat)), pairs)
 
 
 def _check_same_lattice(t1, t2):
@@ -220,12 +225,16 @@ def cong_join(lat, t1, t2):
     congruence; this is re-checked on every call rather than trusted.
     """
     _check_same_lattice(t1, t2)
+    if t1.lattice_size != len(lat):
+        raise LatticeMismatch("congruence is for a different lattice")
     n = t1.lattice_size
-    uf = _UnionFind(n)
-    for i in range(n):
-        uf.union(i, t1.block_of[i])
-        uf.union(i, t2.block_of[i])
-    joined = uf.to_congruence(n)
+    part = _Partition(n)
+    block_of = part.block_of
+    for theta in (t1, t2):
+        for i, r in enumerate(theta.block_of):
+            if block_of[i] != block_of[r]:
+                part.merge(i, r)
+    joined = Congruence(n, block_of)
     witness = congruence_witness(lat, joined)
     if witness is not None:
         raise NotACongruence(witness)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .congruence import (
     Congruence,
+    _Partition,
     _congruence_closure,
-    _UnionFind,
     all_congruences,
     cong_join,
     cong_meet,
@@ -154,15 +154,17 @@ def kappa(lat, spec, max_work=None):
         def find(target):
             failure = _first_failure(target, sweeps)
             return None if failure is None else failure[2:]
-    uf = _UnionFind(len(lat))  # the blocks of theta, grown by one forced pair a round
+    part = _Partition(len(lat))  # the blocks of theta, grown by one forced pair a round
     theta = identity_congruence(lat)
+    target, reps = lat, range(len(lat))  # L/identity is L, with the same indices
     while True:
-        pair = find(quotient(lat, theta).target)
+        pair = find(target)
         if pair is None:
             return theta
         left, right = pair
+        theta = _congruence_closure(lat, part, [(reps[left], reps[right])])
+        target = quotient(lat, theta).target
         reps = sorted(set(theta.block_of))
-        theta = _congruence_closure(lat, uf, [(reps[left], reps[right])])
 
 
 def delta(lat):
@@ -278,8 +280,8 @@ def _factor_congruence(l1, l2, theta):
             if theta.same(a, b):
                 pairs1.append((a // n2, b // n2))
                 pairs2.append((a % n2, b % n2))
-    t1 = _congruence_closure(l1, _UnionFind(len(l1)), pairs1)
-    t2 = _congruence_closure(l2, _UnionFind(len(l2)), pairs2)
+    t1 = _congruence_closure(l1, _Partition(len(l1)), pairs1)
+    t2 = _congruence_closure(l2, _Partition(len(l2)), pairs2)
     if _product_congruence(l1, l2, t1, t2) == theta:
         return (t1, t2)
     return None

@@ -136,6 +136,13 @@ def test_leq_congruence_pentagon():
 def test_lattice_mismatch():
     with pytest.raises(LatticeMismatch):
         cong_meet(identity_congruence(n5().lattice), identity_congruence(chain(3).lattice))
+    # two congruences of a 5-element lattice, joined on a smaller and a larger one
+    pentagon = n5().lattice
+    t1 = principal_congruence(pentagon, "a", "b")
+    t2 = principal_congruence(pentagon, "0", "c")
+    for other in (chain(4).lattice, chain(6).lattice):
+        with pytest.raises(LatticeMismatch):
+            cong_join(other, t1, t2)
 
 
 def test_all_congruences_counts():

@@ -243,3 +243,18 @@ def test_inconsistent_identity_collapses(catalog):
     for named in catalog:
         lat = named.lattice
         assert kappa(lat, crush) == full_congruence(lat)
+
+
+def test_kappa_searches_l_itself_before_the_first_closure(monkeypatch):
+    # L/identity is L with the same indices, so a lattice already in the
+    # class needs no quotient: one call per search path (join-prime
+    # witness, sweep, and the sweep below five elements)
+    def no_quotient(*args):
+        raise AssertionError("a quotient was built")
+
+    monkeypatch.setattr(variety, "quotient", no_quotient)
+    cube = boolean(6).lattice
+    three = chain(3).lattice
+    assert delta(cube) == identity_congruence(cube)
+    assert kappa(cube, MODULAR) == identity_congruence(cube)
+    assert kappa(three, DISTRIBUTIVE) == identity_congruence(three)

@@ -23,6 +23,7 @@ from .congruence import (
     generated_congruence,
     identity_congruence,
     is_congruence,
+    join_irreducible_congruences,
     leq_congruence,
     principal_congruence,
     push_congruence,

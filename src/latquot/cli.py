@@ -14,6 +14,7 @@ from . import catalog as _catalog
 from .congruence import (
     all_congruences,
     congruence_from_blocks,
+    join_irreducible_congruences,
     principal_congruence,
     quotient,
 )
@@ -172,10 +173,7 @@ def cmd_check(args):
         try:
             thetas = all_congruences(lat, max_size=args.max_con)
         except SizeLimitExceeded:
-            thetas = [
-                principal_congruence(lat, lat.elements[i], lat.elements[j])
-                for i, j in lat.covers_i()
-            ]
+            thetas = join_irreducible_congruences(lat)
         for theta in thetas:
             reports.append(verify_theorem2(lat, theta, spec))
     else:

@@ -8,6 +8,10 @@ larger label, so the labels stay block minima and the closure's result
 needs no relabelling pass.  ``congruence_from_blocks`` and ``cong_join``
 check compatibility with meet and join; ``quotient`` trusts its
 congruence and does not re-validate L/theta.
+
+``Con(L)`` is the join-closure of the distinct congruences
+``con(j_*, j)``, one for each join-irreducible ``j`` with its one lower
+cover ``j_*`` (Freese, "Computing congruences efficiently", 2008).
 """
 
 from __future__ import annotations
@@ -252,22 +256,41 @@ def leq_congruence(t1, t2):
     return True
 
 
+def join_irreducible_congruences(lat):
+    """The distinct congruences con(j_*, j), one for each join-irreducible
+    ``j`` (an element with exactly one lower cover ``j_*``), in index
+    order of ``j`` with repeats dropped.
+
+    They are the distinct principal congruences of the cover pairs: for a
+    cover a < b and a minimal j <= b not below a, every element strictly
+    below j lies below a, so j is join-irreducible with j_* <= a, and then
+    j \\/ a = b and j /\\ a = j_*, whence con(a, b) = con(j_*, j).
+    """
+    n = len(lat)
+    lower = [[] for _ in range(n)]
+    for i, j in lat.covers_i():
+        lower[j].append(i)
+    return list(dict.fromkeys(
+        _congruence_closure(lat, _Partition(n), [(below[0], j)])
+        for j, below in enumerate(lower)
+        if len(below) == 1
+    ))
+
+
 def all_congruences(lat, max_size=12):
     """The whole congruence lattice Con(L), enumerated exactly.
 
-    Join-closure of the principal congruences of the cover pairs: every
-    congruence of a finite lattice is the join of the principal
-    congruences of the covers it collapses.  Output is sorted by (block
-    count descending, canonical labeling) for determinism.
+    Join-closure of ``join_irreducible_congruences``: every congruence of
+    a finite lattice is the join of the principal congruences of the
+    covers it collapses, and each of those is some con(j_*, j).  Output is
+    sorted by (block count descending, canonical labeling) for
+    determinism.
     """
     if len(lat) > max_size:
         raise SizeLimitExceeded(
             f"|L| = {len(lat)} exceeds the enumeration cap {max_size}"
         )
-    generators = [
-        principal_congruence(lat, lat.elements[i], lat.elements[j])
-        for i, j in lat.covers_i()
-    ]
+    generators = join_irreducible_congruences(lat)
     seen = {identity_congruence(lat)}
     work = list(seen)
     while work:

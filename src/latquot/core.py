@@ -120,15 +120,19 @@ class Lattice:
         return self.elements[min(range(len(self)), key=lambda i: bin(self.up[i]).count("1"))]
 
     def covers_i(self):
-        """Cover pairs (i, j) with i covered by j, sorted by index."""
-        n = len(self)
+        """Cover pairs (i, j) with i covered by j, sorted by index.
+
+        ``j`` covers ``i`` iff ``j`` is the only member of ``i``'s strict
+        up-set that lies below ``j``; the candidates ``j`` are the set bits
+        of that up-set, taken in index order.
+        """
+        down = self.down
         out = []
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.leq_i(i, j):
-                    between = self.up[i] & self.down[j] & ~(1 << i) & ~(1 << j)
-                    if between == 0:
-                        out.append((i, j))
+        for i, up in enumerate(self.up):
+            above = up & ~(1 << i)
+            for j in _bits(above):
+                if above & down[j] == 1 << j:
+                    out.append((i, j))
         return out
 
     def covers(self):

@@ -21,7 +21,12 @@ DIGESTS = Path(__file__).with_name("cli_outputs.json")
 IDENTITIES = "IDS"  # stands for a file holding the distributive law
 DISTRIBUTIVE_LAW = r"x /\ (y \/ z) = (x /\ y) \/ (x /\ z)" + "\n"
 
-THEOREM3_PAIRS = (("chain-2", "m3"), ("n5", "chain-2"), ("boolean-1", "n5"), ("m3", "chain-3"))
+THEOREM3_PAIRS = (
+    ("chain-2", "m3"), ("n5", "chain-2"), ("boolean-1", "n5"), ("m3", "chain-3"),
+    # products of 40 and 64 elements, whose 5*8 = 40 and 8*8 = 64 congruences
+    # the factor-wise premise enumerates
+    ("n5", "boolean-3"), ("boolean-3", "boolean-3"),
+)
 
 README = (
     "info catalog:n5",

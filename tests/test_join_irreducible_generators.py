@@ -1,0 +1,46 @@
+"""The generators of Con(L) and the cover pairs they are read from.
+
+``all_congruences`` joins the distinct con(j_*, j) over the
+join-irreducibles j.  Here they are compared with the distinct principal
+congruences of all cover pairs, and ``covers_i`` with the definition of a
+cover, on random lattices of up to 24 elements and on the catalog.
+"""
+
+import pytest
+from hypothesis import given, settings
+
+from latquot import join_irreducible_congruences, principal_congruence
+from latquot.catalog import CATALOG_NAMES, resolve
+
+from test_kappa_differential import lattices
+
+
+def naive_covers(lat):
+    """Pairs i < j with nothing strictly between, in index order."""
+    n = len(lat)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and lat.leq_i(i, j)
+        and not any(k not in (i, j) and lat.leq_i(i, k) and lat.leq_i(k, j) for k in range(n))
+    ]
+
+
+def check_generators(lat):
+    assert lat.covers_i() == naive_covers(lat)
+    generators = join_irreducible_congruences(lat)
+    assert len(set(generators)) == len(generators)
+    by_covers = {principal_congruence(lat, a, b) for a, b in lat.covers()}
+    assert set(generators) == by_covers
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattices(max_elements=24))
+def test_generators_are_the_distinct_cover_congruences(lat):
+    check_generators(lat)
+
+
+@pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if len(resolve(n).lattice) <= 28])
+def test_generators_on_the_catalog(name):
+    check_generators(resolve(name).lattice)

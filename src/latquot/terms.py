@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import getitem, itemgetter
 from typing import Union
 
 from .errors import TermSyntaxError, UnboundVariable
@@ -85,7 +86,10 @@ class _Program:
 
     ``levels[i]`` lists the operations run whenever variable ``i`` takes a
     new value; ``outputs`` are the slots of the lowered terms.  The program
-    holds no tables, so one program serves any number of lattices.
+    holds no tables, so one program serves any number of lattices.  Bound to
+    a lattice (``_bind``), each operation is a closure whose per-element
+    work runs in C builtins: vectors are tuples, like the table rows they
+    are gathered from.
     """
 
     def __init__(self, terms, names):
@@ -152,7 +156,15 @@ class _Program:
             self.outputs.append(out)
 
     def _bind(self, tables, env):
-        """The operations as closures over ``tables`` and ``env``, by level."""
+        """The operations as closures over ``tables`` and ``env``, by level.
+
+        The tables are taken as they are, tuples of row tuples, and every
+        vector is built as a tuple in C: a row gathered at a vector's
+        entries by ``itemgetter``, two vectors paired by
+        ``map(getitem, ...)``.  A gather of one entry returns the entry
+        itself, not a 1-tuple, so the one-element lattice is left to the
+        callers.
+        """
         n = len(tables[0])
 
         def closure(code, out, table, a, b):
@@ -168,17 +180,16 @@ class _Program:
                     env[out] = rows[env[a]][env[b]]
             elif code == _MAP:
                 def op():
-                    row = env[a]
-                    env[out] = [row[y] for y in env[b]]
+                    env[out] = itemgetter(*env[b])(env[a])
             elif code == _ZIP:
                 def op():
-                    env[out] = [rows[x][y] for x, y in zip(env[a], env[b])]
+                    env[out] = tuple(map(getitem, itemgetter(*env[a])(rows), env[b]))
             elif code == _TZIP:
                 def op():
-                    env[out] = [row[y] for row, y in zip(rows, env[b])]
+                    env[out] = tuple(map(getitem, rows, env[b]))
             else:
                 def op():
-                    env[out] = [env[a]] * n
+                    env[out] = (env[a],) * n
             return op
 
         return [[closure(*operation) for operation in ops] for ops in self.levels]
@@ -186,7 +197,10 @@ class _Program:
     def evaluate(self, lat, point):
         """The outputs' values (indices) with variable ``i`` at ``point[i]``:
         one pass of the innermost variable over its range, read at
-        ``point[-1]``."""
+        ``point[-1]``.  In the one-element lattice every term is its one
+        element."""
+        if len(lat) == 1:
+            return [0] * len(self.outputs)
         env = list(point[:-1]) + [range(len(lat))] + [None] * (self.nslots - len(point))
         for ops in self._bind((lat.meet_table, lat.join_table), env):
             for op in ops:
@@ -205,7 +219,11 @@ class IdentitySweep:
 
     The variables are swept in ``names`` order (``sweep_order``), the first
     variable outermost.  The program is independent of the lattice, so one
-    compilation serves every lattice it is run on.
+    compilation serves every lattice it is run on, bound to its meet and
+    join tables as they are, without a copy.  The innermost variable is a
+    whole vector; the last outer one is a flat loop that runs its own and
+    the innermost operations and compares the two sides' vectors; an
+    odometer drives the variables above it.
     """
 
     def __init__(self, identity):
@@ -218,27 +236,39 @@ class IdentitySweep:
         indices, where the two sides differ, as (indices, lhs, rhs); or None.
         """
         n = len(lat)
+        if n == 1:
+            return None  # every identity holds in the one-element lattice
         k = len(self.names)
         env = [None] * self._program.nslots
-        env[k - 1] = list(range(n))
-        # list rows, so that a row used as a vector compares equal to a list
-        tables = (list(map(list, lat.meet_table)), list(map(list, lat.join_table)))
-        *outer, inner = self._program._bind(tables, env)
+        # a tuple, as the table rows are, so a row used as a vector compares equal
+        env[k - 1] = tuple(range(n))
+        *outer, inner = self._program._bind((lat.meet_table, lat.join_table), env)
         lhs, rhs = self._program.outputs
 
-        def innermost():
-            for op in inner:
-                op()
+        def failure():
             left, right = env[lhs], env[rhs]
-            if left == right:
-                return None
             i = next(i for i in range(n) if left[i] != right[i])
             return tuple(env[: k - 1]) + (i,), left[i], right[i]
 
         if not outer:
-            return innermost()
-        # odometer over the outer variables, the first one outermost
-        iters = [iter(range(n))] + [None] * (k - 2)
+            for op in inner:
+                op()
+            return failure() if env[lhs] != env[rhs] else None
+        last = k - 2
+        ops = outer[last] + inner
+
+        def sweep_last():
+            for value in range(n):
+                env[last] = value
+                for op in ops:
+                    op()
+                if env[lhs] != env[rhs]:
+                    return failure()
+            return None
+
+        if last == 0:
+            return sweep_last()
+        iters = [iter(range(n))] + [None] * (last - 1)
         level = 0
         while level >= 0:
             value = next(iters[level], None)
@@ -248,13 +278,13 @@ class IdentitySweep:
             env[level] = value
             for op in outer[level]:
                 op()
-            if level < k - 2:
+            if level < last - 1:
                 level += 1
                 iters[level] = iter(range(n))
                 continue
-            failure = innermost()
-            if failure is not None:
-                return failure
+            found = sweep_last()
+            if found is not None:
+                return found
         return None
 
 

@@ -27,7 +27,7 @@ from latquot import (
     parse_term,
     satisfies,
 )
-from latquot.terms import MAX_DEPTH
+from latquot.terms import MAX_DEPTH, IdentitySweep
 
 NAMES = ("x", "y", "z", "w")
 
@@ -52,14 +52,25 @@ def naive_variables(term, out):
     return out
 
 
+def naive_first_failure(lat, ident):
+    """(indices, lhs, rhs) of the first failure in lexicographic order of the
+    sweep order, or None."""
+    names = naive_variables(ident.rhs, naive_variables(ident.lhs, []))
+    for combo in itertools.product(range(len(lat)), repeat=len(names)):
+        env = dict(zip(names, combo))
+        left, right = naive_eval(lat, ident.lhs, env), naive_eval(lat, ident.rhs, env)
+        if left != right:
+            return combo, left, right
+    return None
+
+
 def naive_satisfies(lat, spec):
     """True, or the first failure in lexicographic order of the sweep order."""
     for ident in spec.identities:
-        names = naive_variables(ident.rhs, naive_variables(ident.lhs, []))
-        for combo in itertools.product(range(len(lat)), repeat=len(names)):
-            env = dict(zip(names, combo))
-            if naive_eval(lat, ident.lhs, env) != naive_eval(lat, ident.rhs, env):
-                return ident, {v: lat.elements[i] for v, i in env.items()}
+        failure = naive_first_failure(lat, ident)
+        if failure is not None:
+            names = naive_variables(ident.rhs, naive_variables(ident.lhs, []))
+            return ident, {v: lat.elements[i] for v, i in zip(names, failure[0])}
     return True
 
 
@@ -79,6 +90,9 @@ identities = st.builds(Identity, terms(6), terms(6), st.just("random"))
 def test_satisfies_matches_naive_sweep(lat, idents):
     spec = ClassSpec(tuple(idents), "random")
     assert satisfies(lat, spec) == naive_satisfies(lat, spec)
+    # the failing assignment and both side values, which kappa reads
+    for ident in idents:
+        assert IdentitySweep(ident).first_failure(lat) == naive_first_failure(lat, ident)
 
 
 @settings(max_examples=100, deadline=2000)
@@ -91,12 +105,22 @@ def test_eval_term_matches_naive(lat, term, data):
 
 
 def test_fixed_identities_match_naive_sweep():
-    # one side free of the innermost variable, a repeated variable, x = x
+    # one side free of the innermost variable, a repeated variable, x = x, two
+    # vectors paired; on 1 and 2 elements, and each side by eval_term too
     for text in (r"x = x /\ (x \/ y)", r"x /\ y = y", r"y \/ x = x", r"x /\ x = x", "x = x",
-                 r"(x \/ y) /\ z = y \/ (z /\ x)"):
-        spec = ClassSpec((parse_identity(text),), text)
-        for lat in (chain(3).lattice, m3().lattice, n5().lattice):
+                 r"(x \/ y) /\ z = y \/ (z /\ x)", r"(x /\ z) \/ (y /\ z) = z"):
+        ident = parse_identity(text)
+        spec = ClassSpec((ident,), text)
+        names = naive_variables(ident.rhs, naive_variables(ident.lhs, []))
+        for lat in (chain(1).lattice, chain(2).lattice, chain(3).lattice, m3().lattice,
+                    n5().lattice):
             assert satisfies(lat, spec) == naive_satisfies(lat, spec)
+            for combo in itertools.product(range(len(lat)), repeat=len(names)):
+                env = dict(zip(names, combo))
+                assignment = {name: lat.elements[i] for name, i in env.items()}
+                for term in (ident.lhs, ident.rhs):
+                    expected = lat.elements[naive_eval(lat, term, env)]
+                    assert eval_term(lat, term, assignment) == expected
 
 
 def test_max_depth_identity_compiles_and_evaluates():

@@ -69,17 +69,6 @@ class Congruence:
         return "".join(parts)
 
 
-def _canonical(parent_of):
-    """Relabel an index->representative map so each block id is its minimum."""
-    n = len(parent_of)
-    min_of = {}
-    for i in range(n):
-        r = parent_of[i]
-        if r not in min_of or i < min_of[r]:
-            min_of[r] = i
-    return tuple(min_of[parent_of[i]] for i in range(n))
-
-
 class _Partition:
     """A partition of the indices 0..n-1, grown in place by merging blocks.
 
@@ -211,7 +200,8 @@ def _check_same_lattice(t1, t2):
 
 
 def cong_meet(t1, t2):
-    """Common refinement (intersection of the relations)."""
+    """Common refinement (intersection of the relations).  Each element is
+    labelled by the least index with its pair of labels: its block's minimum."""
     _check_same_lattice(t1, t2)
     n = t1.lattice_size
     rep = {}
@@ -219,7 +209,7 @@ def cong_meet(t1, t2):
     for i in range(n):
         key = (t1.block_of[i], t2.block_of[i])
         block_of[i] = rep.setdefault(key, i)
-    return Congruence(n, _canonical(block_of))
+    return Congruence(n, block_of)
 
 
 def cong_join(lat, t1, t2):
@@ -342,7 +332,12 @@ def quotient(lat, theta):
 
 
 def push_congruence(qmap, phi):
-    """The congruence phi/theta on L/theta, for theta <= phi."""
+    """The congruence phi/theta on L/theta, for theta <= phi.
+
+    Each element is labelled by the image of its phi-block's minimum,
+    which is the least index in its block, as quotient blocks are ordered
+    by their minima.
+    """
     theta = qmap.theta
     if phi.lattice_size != theta.lattice_size:
         raise LatticeMismatch("congruence is for a different lattice")
@@ -352,4 +347,4 @@ def push_congruence(qmap, phi):
     block_of = [0] * m
     for i in range(theta.lattice_size):
         block_of[qmap.index_map[i]] = qmap.index_map[phi.block_of[i]]
-    return Congruence(m, _canonical(block_of))
+    return Congruence(m, block_of)

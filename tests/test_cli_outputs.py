@@ -23,9 +23,10 @@ DISTRIBUTIVE_LAW = r"x /\ (y \/ z) = (x /\ y) \/ (x /\ z)" + "\n"
 
 THEOREM3_PAIRS = (
     ("chain-2", "m3"), ("n5", "chain-2"), ("boolean-1", "n5"), ("m3", "chain-3"),
-    # products of 40 and 64 elements, whose 5*8 = 40 and 8*8 = 64 congruences
-    # the factor-wise premise enumerates
-    ("n5", "boolean-3"), ("boolean-3", "boolean-3"),
+    # products of 40, 64 and 144 elements; the factor-wise premise checks the
+    # product's join-irreducible congruences and counts 5*8 = 40, 8*8 = 64
+    # and 2^11 * 2^11 congruences from the factors
+    ("n5", "boolean-3"), ("boolean-3", "boolean-3"), ("chain-12", "chain-12"),
 )
 
 README = (

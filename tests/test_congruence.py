@@ -199,6 +199,7 @@ def test_congruence_lattice_axioms(small_catalog):
             for t2 in cons:
                 m = cong_meet(t1, t2)
                 j = cong_join(lat, t1, t2)
+                assert all(m.block_of[i] == min(block) for block in m.blocks() for i in block)
                 assert m in cons and j in cons
                 assert leq_congruence(m, t1) and leq_congruence(m, t2)
                 assert leq_congruence(t1, j) and leq_congruence(t2, j)

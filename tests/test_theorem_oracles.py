@@ -16,6 +16,7 @@ from latquot import (
     is_isomorphic,
     kappa,
     leq_congruence,
+    product,
     push_congruence,
     quotient,
     verify_theorem2,
@@ -95,6 +96,9 @@ def test_push_congruence_agrees_with_quotient(lat):
             if not leq_congruence(theta, phi):
                 continue
             pushed = push_congruence(qmap, phi)
+            assert all(
+                pushed.block_of[i] == min(block) for block in pushed.blocks() for i in block
+            )
             image = qmap.index_map
             assert all(
                 pushed.same(image[i], image[j]) == phi.same(i, j)
@@ -116,7 +120,9 @@ def test_theorem2_holds_for_random_theta(lat, data):
 @settings(max_examples=10, deadline=5000)
 @given(lattices(max_elements=4), lattices(max_elements=4), st.sampled_from((DISTRIBUTIVE, MODULAR)))
 def test_theorem3_holds_for_random_factors(l1, l2, spec):
-    # one class per example: the premise enumerates Con of a product of up
-    # to 16 elements, about 0.3 s each
+    # one class per example: the count check below enumerates Con of a
+    # product of up to 16 elements
     report = verify_theorem3(l1, l2, spec)
     assert report.ok, report.details
+    (count,) = [int(d.split()[2]) for d in report.details if d.startswith("factored all ")]
+    assert count == len(all_congruences(product(l1, l2), max_size=16))

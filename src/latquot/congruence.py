@@ -11,7 +11,10 @@ congruence and does not re-validate L/theta.
 
 ``Con(L)`` is the join-closure of the distinct congruences
 ``con(j_*, j)``, one for each join-irreducible ``j`` with its one lower
-cover ``j_*`` (Freese, "Computing congruences efficiently", 2008).
+cover ``j_*`` (Freese, "Computing congruences efficiently", 2008).  The
+closure skips a generator for a congruence theta that already collapses
+its pair ``(j_*, j)``: the generator is the least congruence doing so, so
+it lies below theta and their join is theta itself.
 """
 
 from __future__ import annotations
@@ -246,6 +249,22 @@ def leq_congruence(t1, t2):
     return True
 
 
+def _generator_pairs(lat):
+    """Each distinct con(j_*, j) mapped to the pair (j_*, j) of its least
+    join-irreducible ``j`` (an element with exactly one lower cover
+    ``j_*``), in index order of ``j``."""
+    n = len(lat)
+    lower = [[] for _ in range(n)]
+    for i, j in lat.covers_i():
+        lower[j].append(i)
+    pairs = {}
+    for j, below in enumerate(lower):
+        if len(below) == 1:
+            gen = _congruence_closure(lat, _Partition(n), [(below[0], j)])
+            pairs.setdefault(gen, (below[0], j))
+    return pairs
+
+
 def join_irreducible_congruences(lat):
     """The distinct congruences con(j_*, j), one for each join-irreducible
     ``j`` (an element with exactly one lower cover ``j_*``), in index
@@ -256,15 +275,7 @@ def join_irreducible_congruences(lat):
     below j lies below a, so j is join-irreducible with j_* <= a, and then
     j \\/ a = b and j /\\ a = j_*, whence con(a, b) = con(j_*, j).
     """
-    n = len(lat)
-    lower = [[] for _ in range(n)]
-    for i, j in lat.covers_i():
-        lower[j].append(i)
-    return list(dict.fromkeys(
-        _congruence_closure(lat, _Partition(n), [(below[0], j)])
-        for j, below in enumerate(lower)
-        if len(below) == 1
-    ))
+    return list(_generator_pairs(lat))
 
 
 def all_congruences(lat, max_size=12):
@@ -272,20 +283,26 @@ def all_congruences(lat, max_size=12):
 
     Join-closure of ``join_irreducible_congruences``: every congruence of
     a finite lattice is the join of the principal congruences of the
-    covers it collapses, and each of those is some con(j_*, j).  Output is
-    sorted by (block count descending, canonical labeling) for
-    determinism.
+    covers it collapses, and each of those is some con(j_*, j).  A
+    generator is not joined to a theta that already collapses its pair
+    (j_*, j): the generator is the least congruence collapsing that pair,
+    so it lies below theta, and theta \\/ con(j_*, j) = theta is already
+    found.  Output is sorted by (block count descending, canonical
+    labeling) for determinism.
     """
     if len(lat) > max_size:
         raise SizeLimitExceeded(
             f"|L| = {len(lat)} exceeds the enumeration cap {max_size}"
         )
-    generators = join_irreducible_congruences(lat)
+    generators = _generator_pairs(lat).items()
     seen = {identity_congruence(lat)}
     work = list(seen)
     while work:
         theta = work.pop()
-        for gen in generators:
+        block_of = theta.block_of
+        for gen, (lo, j) in generators:
+            if block_of[lo] == block_of[j]:
+                continue
             merged = cong_join(lat, theta, gen)
             if merged not in seen:
                 seen.add(merged)

@@ -3,13 +3,24 @@
 ``all_congruences`` joins the distinct con(j_*, j) over the
 join-irreducibles j.  Here they are compared with the distinct principal
 congruences of all cover pairs, and ``covers_i`` with the definition of a
-cover, on random lattices of up to 24 elements and on the catalog.
+cover, on random lattices of up to 24 elements and on the catalog.  The
+closure, which skips the generators a congruence already contains, is
+compared with joining every congruence to every generator, on lattices
+above the partition oracle's 8 elements.
 """
 
 import pytest
 from hypothesis import given, settings
 
-from latquot import join_irreducible_congruences, principal_congruence
+from latquot import (
+    all_congruences,
+    cong_join,
+    identity_congruence,
+    join_irreducible_congruences,
+    n5,
+    principal_congruence,
+    product,
+)
 from latquot.catalog import CATALOG_NAMES, resolve
 
 from test_kappa_differential import lattices
@@ -44,3 +55,34 @@ def test_generators_are_the_distinct_cover_congruences(lat):
 @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if len(resolve(n).lattice) <= 28])
 def test_generators_on_the_catalog(name):
     check_generators(resolve(name).lattice)
+
+
+def naive_closure(lat):
+    """Con(L) by joining every congruence found with every generator."""
+    generators = join_irreducible_congruences(lat)
+    seen = {identity_congruence(lat)}
+    work = list(seen)
+    while work:
+        theta = work.pop()
+        for gen in generators:
+            merged = cong_join(lat, theta, gen)
+            if merged not in seen:
+                seen.add(merged)
+                work.append(merged)
+    return sorted(seen, key=lambda t: (-t.num_blocks(), t.block_of))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattices(max_elements=16))
+def test_closure_matches_joining_every_generator(lat):
+    assert all_congruences(lat, max_size=16) == naive_closure(lat)
+
+
+@pytest.mark.parametrize("lat, size", [
+    (resolve("fm-3").lattice, 128),
+    (product(n5().lattice, n5().lattice), 25),
+], ids=["fm-3", "n5xn5"])
+def test_closure_matches_joining_every_generator_on_large_lattices(lat, size):
+    congruences = all_congruences(lat, max_size=len(lat))
+    assert len(congruences) == size
+    assert congruences == naive_closure(lat)

@@ -1,25 +1,32 @@
 """Congruences of finite lattices and quotient construction.
 
 A congruence is stored as a canonical partition: ``block_of[i]`` is the
-smallest index in the block of element ``i``.  Congruences are generated
-on a ``_Partition``, the same label array plus the member list of each
-block, grown in place: a merge relabels the members of the block with the
-larger label, so the labels stay block minima and the closure's result
-needs no relabelling pass.  ``congruence_from_blocks`` and ``cong_join``
-check compatibility with meet and join; ``quotient`` trusts its
-congruence and does not re-validate L/theta.
+smallest index in the block of element ``i``.  It is computed from its
+D-closed set (Freese, "Computing congruences efficiently", Algebra
+Universalis 59, 2008; Freese, Jezek and Nation, *Free Lattices*, 1995,
+ch. 2).  A congruence theta is determined by the set
+S = {j in J(L) : j_* theta j} of join-irreducibles it collapses onto
+their lower covers, and x theta y iff the join-irreducibles below x and
+below y agree outside S, so the partition is one pass that keys each x
+by J(x) \\ S.  The sets S that occur are exactly those closed under
+D-predecessors (``core.DayRelation``): i D k makes con(i_*, i) lie below
+con(k_*, k).  The congruence generated by theta and a pair (a, b) has the
+D-closure of S and J(a \\/ b) \\ J(a /\\ b) as its set.
+``congruence_from_blocks`` and ``cong_join`` check compatibility with
+meet and join; ``quotient`` trusts its congruence and does not
+re-validate L/theta.
 
 ``Con(L)`` is the join-closure of the distinct congruences
 ``con(j_*, j)``, one for each join-irreducible ``j`` with its one lower
-cover ``j_*`` (Freese, "Computing congruences efficiently", 2008).  The
-closure skips a generator for a congruence theta that already collapses
-its pair ``(j_*, j)``: the generator is the least congruence doing so, so
-it lies below theta and their join is theta itself.
+cover ``j_*``.  The closure skips a generator for a congruence theta that
+already collapses its pair ``(j_*, j)``: the generator is the least
+congruence doing so, so it lies below theta and their join is theta
+itself.
 """
 
 from __future__ import annotations
 
-from .core import Lattice
+from .core import Lattice, _bits
 from .errors import (
     LatticeMismatch,
     MalformedPartition,
@@ -78,7 +85,8 @@ class _Partition:
     ``block_of[i]`` is the least index of ``i``'s block and ``members[r]``
     lists the block labelled ``r`` (empty once merged away).  A merge
     relabels the block with the larger label, so ``block_of`` stays
-    canonical and is a ``Congruence``'s labelling as it stands.
+    canonical and is a ``Congruence``'s labelling as it stands.  Used by
+    ``cong_join``.
     """
 
     __slots__ = ("block_of", "members")
@@ -158,43 +166,64 @@ def is_congruence(lat, blocks):
         return exc.witness
 
 
-def _congruence_closure(lat, part, seed_pairs):
-    """Least congruence above the partition ``part`` that merges every seed
-    pair (index-level); ``part`` is extended in place.
+def _congruence_closure(lat, closed, pairs):
+    """The D-closed set of the least congruence above the one of
+    ``closed`` (a D-closed set) that collapses every index pair in
+    ``pairs``.
 
-    Worklist closure under the unary translations t -> t /\\ c and
-    t -> t \\/ c; partition merging supplies symmetry and transitivity,
-    and for lattices the unary translations imply full compatibility.
-    Only the seed pairs and the merges they cause are translated, so
-    ``part`` must already be a congruence: a fresh one, or the result of
-    an earlier closure.
+    The pair (a, b) collapses exactly the join-irreducibles in
+    J(a \\/ b) \\ J(a /\\ b): such a j is j /\\ (a \\/ b), congruent to
+    j /\\ (a /\\ b) <= j_*, and once they are collapsed a /\\ b and
+    a \\/ b have the same key.  Each round adds the D-predecessors of the
+    join-irreducibles added in the round before.
     """
-    block_of = part.block_of
-    work = []
-    for a, b in seed_pairs:
-        if block_of[a] != block_of[b]:
-            part.merge(a, b)
-            work.append((a, b))
+    day = lat.day()
+    below, pred = day.below, day.pred
     meet, join = lat.meet_table, lat.join_table
-    while work:
-        x, y = work.pop()
-        for row_x, row_y in ((meet[x], meet[y]), (join[x], join[y])):
-            for p, q in zip(row_x, row_y):
-                if block_of[p] != block_of[q]:
-                    part.merge(p, q)
-                    work.append((p, q))
-    return Congruence(len(lat), block_of)
+    new = 0
+    for a, b in pairs:
+        new |= below[join[a][b]] & ~below[meet[a][b]]
+    new &= ~closed
+    while new:
+        closed |= new
+        grown = 0
+        for t in _bits(new):
+            grown |= pred[t]
+        new = grown & ~closed
+    return closed
+
+
+def _mask_congruence(lat, closed):
+    """The congruence of the D-closed set ``closed``: x and y share a block
+    iff the join-irreducibles below them agree outside ``closed``.  Each
+    element is labelled by the least index with its key, which is its
+    block's minimum."""
+    keep = ~closed
+    rep = {}
+    return Congruence(len(lat), [rep.setdefault(mask & keep, x)
+                                 for x, mask in enumerate(lat.day().below)])
+
+
+def _closed_set(lat, theta):
+    """The D-closed set of ``theta``: the positions of the join-irreducibles
+    j with j_* theta j."""
+    day, block_of = lat.day(), theta.block_of
+    closed = 0
+    for t, (j, star) in enumerate(zip(day.joins, day.lower)):
+        if block_of[j] == block_of[star]:
+            closed |= 1 << t
+    return closed
 
 
 def principal_congruence(lat, a, b):
     """theta(a, b): the least congruence identifying a and b."""
-    return _congruence_closure(lat, _Partition(len(lat)), [(lat.index(a), lat.index(b))])
+    return generated_congruence(lat, [(a, b)])
 
 
 def generated_congruence(lat, pairs):
     """Least congruence containing every (a, b) identifier pair."""
     pairs = [(lat.index(a), lat.index(b)) for a, b in pairs]
-    return _congruence_closure(lat, _Partition(len(lat)), pairs)
+    return _mask_congruence(lat, _congruence_closure(lat, 0, pairs))
 
 
 def _check_same_lattice(t1, t2):
@@ -252,17 +281,13 @@ def leq_congruence(t1, t2):
 def _generator_pairs(lat):
     """Each distinct con(j_*, j) mapped to the pair (j_*, j) of its least
     join-irreducible ``j`` (an element with exactly one lower cover
-    ``j_*``), in index order of ``j``."""
-    n = len(lat)
-    lower = [[] for _ in range(n)]
-    for i, j in lat.covers_i():
-        lower[j].append(i)
+    ``j_*``), in index order of ``j``.  The pair collapses j alone, so
+    the generator's D-closed set is the D-closure of {j}."""
+    day = lat.day()
     pairs = {}
-    for j, below in enumerate(lower):
-        if len(below) == 1:
-            gen = _congruence_closure(lat, _Partition(n), [(below[0], j)])
-            pairs.setdefault(gen, (below[0], j))
-    return pairs
+    for pair in zip(day.lower, day.joins):
+        pairs.setdefault(_congruence_closure(lat, 0, [pair]), pair)
+    return {_mask_congruence(lat, closed): pair for closed, pair in pairs.items()}
 
 
 def join_irreducible_congruences(lat):

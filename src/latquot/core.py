@@ -64,7 +64,7 @@ class Lattice:
     build a lattice from Hasse data.
     """
 
-    __slots__ = ("elements", "_index", "down", "up", "meet_table", "join_table")
+    __slots__ = ("elements", "_index", "down", "up", "meet_table", "join_table", "_day")
 
     def __init__(self, elements, meet_table, join_table):
         self.elements = tuple(elements)
@@ -86,6 +86,14 @@ class Lattice:
                     down[b] |= 1 << a
         self.up = tuple(up)
         self.down = tuple(down)
+        self._day = None
+
+    def day(self):
+        """J(L) and Day's dependency relation on it (``DayRelation``),
+        built on the first call and kept."""
+        if self._day is None:
+            self._day = DayRelation(self)
+        return self._day
 
     # -- index plumbing -------------------------------------------------
 
@@ -171,6 +179,49 @@ class Lattice:
                 jn = self.join_table[i][j]
                 if not (upper >> jn & 1) or self.up[jn] != upper:
                     raise NotALattice(self.elements[i], self.elements[j], "join")
+
+
+class DayRelation:
+    """The join-irreducibles of a lattice and Day's relation D on them.
+
+    Sets of join-irreducibles are bitmasks over their positions ``t`` in
+    ``joins``, the join-irreducibles in index order; ``lower[t]`` is the
+    one lower cover j_* of ``j = joins[t]``.  ``below[x]`` is the set
+    of join-irreducibles at or below element ``x``.  ``pred[t]`` is
+    the set of D-predecessors of ``joins[t]``: i D k iff i != k and some p
+    has i <= k \\/ p but not i <= k_* \\/ p (Freese, Jezek and Nation,
+    *Free Lattices*, ch. 2).
+
+    x is join-irreducible iff its strict down-set has a greatest element,
+    j_*, so J(L) takes one dictionary lookup per element.  For each k, the
+    i with k \\/ p above them and k_* \\/ p not are ``below[k \\/ p]``
+    without ``below[k_* \\/ p]``, so D takes O(|J| n) mask operations,
+    one per distinct pair (k \\/ p, k_* \\/ p).
+    """
+
+    __slots__ = ("joins", "lower", "below", "pred")
+
+    def __init__(self, lat):
+        down, up, join = lat.down, lat.up, lat.join_table
+        principal = {mask: x for x, mask in enumerate(down)}
+        joins, lower = [], []
+        for x, mask in enumerate(down):
+            star = principal.get(mask & ~(1 << x))
+            if star is not None:  # the bottom's strict down-set is empty
+                joins.append(x)
+                lower.append(star)
+        below = [0] * len(lat)
+        for t, j in enumerate(joins):
+            for x in _bits(up[j]):
+                below[x] |= 1 << t
+        pred = []
+        for t, (k, star) in enumerate(zip(joins, lower)):
+            mask = 0
+            for hi, lo in set(zip(join[k], join[star])):
+                mask |= below[hi] & ~below[lo]
+            pred.append(mask & ~(1 << t))
+        self.joins, self.lower = tuple(joins), tuple(lower)
+        self.below, self.pred = tuple(below), tuple(pred)
 
 
 def _tables_from_order(elements, down, up):

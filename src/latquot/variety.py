@@ -15,18 +15,18 @@ from dataclasses import dataclass, field
 from .catalog import chain, m3, n5
 from .congruence import (
     Congruence,
-    _Partition,
+    _closed_set,
     _congruence_closure,
+    _mask_congruence,
     all_congruences,
     cong_join,
     cong_meet,
     identity_congruence,
     join_irreducible_congruences,
-    leq_congruence,
     push_congruence,
     quotient,
 )
-from .core import distributive_failure, product
+from .core import product
 from .errors import SizeLimitExceeded
 from .terms import DISTRIBUTIVE, IdentitySweep, sweep_order
 
@@ -67,16 +67,21 @@ def satisfies(lat, spec):
     return (ident, {v: lat.elements[i] for v, i in env.items()})
 
 
-def check_work(size, spec, max_work):
-    """Raise SizeLimitExceeded if one full sweep of ``spec`` over ``size``
-    elements, the sum of size^k over the identities, exceeds ``max_work``."""
+def check_work(size, spec, max_work, distributive=False):
+    """Raise SizeLimitExceeded if ``kappa``'s search over ``size`` elements
+    exceeds ``max_work``: size^2 when ``distributive`` (the identities
+    define the distributive class, so Day's relation is built instead of a
+    sweep), else one full sweep of ``spec``, the sum of size^k over the
+    identities."""
     if max_work is None:
         return
-    work = sum(size ** len(sweep_order(ident)) for ident in spec.identities)
+    if distributive:
+        work, what = size ** 2, "Day relation over {} element pairs"
+    else:
+        work = sum(size ** len(sweep_order(ident)) for ident in spec.identities)
+        what = "identity sweep of {} assignments"
     if work > max_work:
-        raise SizeLimitExceeded(
-            f"identity sweep of {work} assignments exceeds the work cap {max_work}"
-        )
+        raise SizeLimitExceeded(f"{what.format(work)} exceeds the work cap {max_work}")
 
 
 # The three lattices that tell whether identities define exactly the
@@ -103,57 +108,70 @@ def _defines_distributive(sweeps):
 def kappa(lat, spec, max_work=None):
     """Least congruence whose quotient lies in the class.
 
-    Witness-driven: starting from the identity congruence, each round
-    looks in L/theta for an assignment that breaks an identity, lifts its
-    two unequal values to block representatives a, b of L, and replaces
-    theta by the congruence generated by theta and (a, b).
+    Congruences are handled as D-closed sets of join-irreducibles (see
+    ``congruence``).  When the identities define exactly the distributive
+    class (``_defines_distributive``: 2 satisfies them, M3 and N5 do not;
+    decided once per call, and for |L| >= 5 only, since every smaller
+    lattice is distributive and one sweep of it costs less than sweeping 2,
+    M3 and N5), the answer is delta(L), and it is the congruence theta
+    of the set S of D's sources, the j with j D k for some k.  Proof in
+    two parts.
 
-    The assignment is found one of two ways.  When the identities define
-    exactly the distributive class (``_defines_distributive``: 2 satisfies
-    them, M3 and N5 do not; decided once per call, and for |L| >= 5 only,
-    since below that one sweep of L costs less than sweeping 2, M3 and
-    N5), it is the join-prime witness of ``distributive_failure``: a
-    join-irreducible j of L/theta and elements acc, x with
-    j <= acc \\/ x, j not below acc or x, on which the distributive law's
-    sides are j and (j /\\ acc) \\/ (j /\\ x) < j.  Otherwise it is the
-    first failing assignment of a sweep of every assignment
-    (``_first_failure``).
+    Each source is forced: let j D k by p, and phi any congruence with
+    distributive quotient.  Then j != k, j is below neither k nor p (else
+    j <= k_* \\/ p), so j /\\ k and j /\\ p lie below j_*.  The
+    distributive law at (j, k, p) has the sides j /\\ (k \\/ p) = j and
+    (j /\\ k) \\/ (j /\\ p) <= j_*, which phi identifies, so j phi j_*
+    by convexity.  Hence theta <= phi.
 
-    Why the result is least: let phi >= theta have its quotient in the
-    class.  Lift the failing assignment to L; the two sides of the
-    identity evaluate in L to elements of the blocks of a and b, and
-    L/phi satisfies the identity, so phi identifies them, hence also a
-    and b.  For the join-prime witness the identity is the distributive
-    law, which holds in L/phi since the class is the distributive one.
-    So phi lies above the new theta as well, and by induction every theta
-    the loop visits lies below every congruence whose quotient is in the
-    class.  Each round merges two blocks, so the loop ends, and it ends on
-    a search that finds no failure: that search is the proof that the
-    quotient by the returned theta is in the class (for the join-prime
-    path, by Birkhoff's theorem: a finite lattice whose join-irreducibles
-    are all join-prime is distributive).
+    L/theta is distributive: let [m] be a join-irreducible of L/theta and
+    m the least element of its block.  Then m is join-irreducible in L and
+    outside S, as m_* lies in a lower block.  If [m] is not join-prime,
+    [m] <= [a \\/ b] with [m] below neither [a] nor [b]; m /\\ (a \\/ b)
+    lies in m's block, so it is m, and m <= a \\/ b, below neither a nor
+    b.  So m is not join-prime in L, and a minimal nontrivial join cover A
+    of m gives m D k for each k in A, with p the join of A \\ {k}
+    (Freese, Jezek and Nation, *Free Lattices*, ch. 2): m is a source, a
+    contradiction.  So every join-irreducible of L/theta is join-prime,
+    and L/theta is distributive (Birkhoff).
 
-    ``max_work`` caps one full sweep of L (see ``check_work``), for every
-    class, the distributive one included; above it, SizeLimitExceeded is
-    raised before any search.
+    For any other class, kappa is witness-driven: starting from the
+    identity congruence, each round takes the first failing assignment of
+    a sweep of L/theta (``_first_failure``), lifts its two unequal values
+    to block representatives a, b of L, and replaces theta by the
+    congruence generated by theta and (a, b) (``_congruence_closure`` on
+    the D-closed set).  Why the result is least: let phi >= theta have
+    its quotient in the class.  Lift the failing assignment to L; the two
+    sides of the identity evaluate in L to elements of the blocks of a
+    and b, and L/phi satisfies the identity, so phi identifies them,
+    hence also a and b.  So phi lies above the new theta as well, and by
+    induction every theta the loop visits lies below every congruence
+    whose quotient is in the class.  Each round merges two blocks, so the
+    loop ends, and it ends on a sweep that finds no failure: that sweep
+    is the proof that the quotient by the returned theta is in the class.
+
+    ``max_work`` caps the search (see ``check_work``): |L|^2 for the
+    distributive class, one full sweep of L for any other; above it,
+    SizeLimitExceeded is raised before L is searched.
     """
-    check_work(len(lat), spec, max_work)
     sweeps = _sweeps(spec)
-    if len(lat) >= 5 and _defines_distributive(sweeps):
-        find = distributive_failure
-    else:
-        def find(target):
-            failure = _first_failure(target, sweeps)
-            return None if failure is None else failure[2:]
-    part = _Partition(len(lat))  # the blocks of theta, grown by one forced pair a round
+    distributive = len(lat) >= 5 and _defines_distributive(sweeps)
+    check_work(len(lat), spec, max_work, distributive)
+    if distributive:
+        sources = 0
+        for preds in lat.day().pred:
+            sources |= preds
+        return _mask_congruence(lat, sources)
+    closed = 0  # the D-closed set of theta, grown by one forced pair a round
     theta = identity_congruence(lat)
     target, reps = lat, range(len(lat))  # L/identity is L, with the same indices
     while True:
-        pair = find(target)
-        if pair is None:
+        failure = _first_failure(target, sweeps)
+        if failure is None:
             return theta
-        left, right = pair
-        theta = _congruence_closure(lat, part, [(reps[left], reps[right])])
+        left, right = failure[2:]
+        closed = _congruence_closure(lat, closed, [(reps[left], reps[right])])
+        theta = _mask_congruence(lat, closed)
         target = quotient(lat, theta).target
         reps = sorted(set(theta.block_of))
 
@@ -216,22 +234,31 @@ def verify_theorem1(lat, spec, max_size=12):
     On one enumeration of Con(L), checks that the filter is an up-set, is
     closed under binary meets, and equals the up-set of ``kappa``.  Binary
     meets suffice: by induction on the number of meetands they give every
-    finite meet, and every meet in the finite Con(L) is finite.
+    finite meet, and every meet in the finite Con(L) is finite.  Each
+    congruence is compared through its D-closed set (``_closed_set``):
+    theta <= phi iff its set is a subset of phi's, and the meet's set is
+    the intersection of the two.
     """
     report = Report("filter-structure", True)
     cons = all_congruences(lat, max_size=max_size)
     filtered = _in_class(lat, cons, spec)
-    members = set(filtered)
+    closed = {theta: _closed_set(lat, theta) for theta in cons}
+    members = {closed[theta] for theta in filtered}
+    # only a non-member can break the up-set; the failures keep their order
+    outside = [(t, closed[t]) for t in cons if closed[t] not in members]
     for t0 in filtered:
-        for t in cons:
-            if leq_congruence(t0, t) and t not in members:
+        s0 = closed[t0]
+        for t, s in outside:
+            if not s0 & ~s:
                 report.fail(f"not an up-set: above {t0.render(lat)} lies {t.render(lat)}")
-    for t1, t2 in itertools.combinations(filtered, 2):
-        met = cong_meet(t1, t2)
-        if met not in members:
+    pairs = itertools.combinations([(theta, closed[theta]) for theta in filtered], 2)
+    for (t1, s1), (t2, s2) in pairs:
+        if s1 & s2 not in members:
+            met = cong_meet(t1, t2)
             report.fail(f"meet of two members escapes the filter: {met.render(lat)}")
     kap = kappa(lat, spec)
-    if filtered != [t for t in cons if leq_congruence(kap, t)]:
+    s_kap = _closed_set(lat, kap)
+    if filtered != [t for t in cons if not s_kap & ~closed[t]]:
         report.fail(f"not the up-set of kappa {kap.render(lat)}")
     report.note(f"filter size {len(filtered)} of {len(cons)} congruences")
     return report

@@ -78,13 +78,16 @@ def test_kappa_identities_file(capsys, tmp_path):
     assert "singleton" in out
 
 
-FIVE_VAR = r"v /\ (w \/ x \/ (y /\ z)) = (v /\ w) \/ (v /\ x) \/ (v /\ y /\ z)"
+# Huhn's 3-distributive law: 5 variables, and M3 and N5 satisfy it, so its
+# class is not the distributive one and kappa sweeps
+THREE_DISTRIBUTIVE = (r"v /\ (w \/ x \/ y \/ z) = (v /\ (x \/ y \/ z)) \/ (v /\ (w \/ y \/ z))"
+                      r" \/ (v /\ (w \/ x \/ z)) \/ (v /\ (w \/ x \/ y))")
 
 
 def test_kappa_work_cap_exit_code(capsys, tmp_path):
     # 28^5 ~ 17.2M assignments: refused before the sweep, not after minutes
     path = tmp_path / "five.ids"
-    path.write_text(FIVE_VAR + "\n")
+    path.write_text(THREE_DISTRIBUTIVE + "\n")
     start = time.perf_counter()
     code, out, err = run(capsys, "kappa", "catalog:fm-3", "--identities", str(path))
     assert time.perf_counter() - start < 1.0
@@ -95,13 +98,15 @@ def test_kappa_work_cap_exit_code(capsys, tmp_path):
 
 def test_max_work_flag(capsys):
     # one 3-variable identity on n5 sweeps 5^3 = 125 assignments
-    code, _, err = run(capsys, "delta", "catalog:n5", "--max-work", "124")
+    code, _, err = run(capsys, "delta", "catalog:n5", "--class", "modular", "--max-work", "124")
     assert code == 3
     assert "work cap 124" in err
-    code, out, _ = run(capsys, "delta", "catalog:n5", "--max-work", "125")
+    code, out, _ = run(capsys, "delta", "catalog:n5", "--class", "modular", "--max-work", "125")
     assert code == 0
     assert "kappa={0}{a,b}{c}{1}" in out
-    for argv in (["quotient", "catalog:n5", "delta"], ["dot", "catalog:n5", "--highlight", "delta"],
+    # check charges the sweep, whatever the class
+    for argv in (["quotient", "catalog:n5", "delta", "--class", "modular"],
+                 ["dot", "catalog:n5", "--highlight", "delta", "--class", "modular"],
                  ["check", "--theorem", "2", "catalog:n5"]):
         code, _, _ = run(capsys, *argv, "--max-work", "124")
         assert code == 3, argv
@@ -112,6 +117,16 @@ def test_max_work_flag(capsys):
     code, _, _ = run(capsys, "check", "--theorem", "3", "catalog:m3", "catalog:n5",
                      "--max-work", "15625")
     assert code == 0
+
+
+def test_delta_of_boolean_8_fits_the_default_work_cap(capsys):
+    # delta is charged 256^2 for Day's relation, not 256^3 for a sweep
+    code, out, _ = run(capsys, "delta", "catalog:boolean-8")
+    assert code == 0
+    assert "quotient_size=256" in out
+    code, _, err = run(capsys, "delta", "catalog:boolean-8", "--max-work", "65535")
+    assert code == 3
+    assert "65536" in err
 
 
 def test_deep_identity_is_an_input_error(capsys, tmp_path):

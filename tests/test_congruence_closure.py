@@ -1,17 +1,17 @@
 """The congruence closure against a naive fixpoint on random lattices.
 
-``_congruence_closure`` grows one in-place partition by a worklist of the
-pairs it merges.  Here it is compared with a loop that translates every
-pair of every block until nothing changes, on lattices of up to 24
-elements, both when all pairs are closed at once and when one partition is
-extended pair by pair, as ``kappa`` extends it.
+``_congruence_closure`` grows a D-closed set of join-irreducibles, and
+``_mask_congruence`` reads the partition off it.  Here they are compared
+with a loop that translates every pair of every block until nothing
+changes, on lattices of up to 24 elements, both when all pairs are closed
+at once and when one set is extended pair by pair, as ``kappa`` extends it.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latquot import generated_congruence
-from latquot.congruence import _congruence_closure, _Partition
+from latquot.congruence import _closed_set, _congruence_closure, _mask_congruence
 
 from test_distributive_witness import lattices
 from test_theorem_oracles import _compatible
@@ -59,9 +59,12 @@ def test_closure_matches_the_naive_fixpoint(lat, data):
     expected = naive_generated(lat, pairs)
     at_once = generated_congruence(lat, [(lat.elements[a], lat.elements[b]) for a, b in pairs])
     assert at_once.block_of == expected
-    part = _Partition(len(lat))
-    for pair in pairs:
-        theta = _congruence_closure(lat, part, [pair])
+    closed = 0
+    for k, pair in enumerate(pairs, 1):
+        closed = _congruence_closure(lat, closed, [pair])
+        theta = _mask_congruence(lat, closed)
         assert is_canonical(theta.block_of)
         assert _compatible(lat, theta.block_of)
+        assert theta.block_of == naive_generated(lat, pairs[:k])
+        assert _closed_set(lat, theta) == closed
     assert theta == at_once

@@ -1,9 +1,10 @@
-"""The join-prime witness path of ``kappa`` against sweeps kept in the tests.
+"""The join-prime search and kappa's distributive path against sweeps kept in
+the tests.
 
 ``is_distributive`` is checked against a naive triple scan, and ``kappa``
-for classes that define exactly the distributive class against a loop of
-``satisfies`` and ``generated_congruence``, neither of which runs the
-join-prime search.
+for classes that define exactly the distributive class, which it answers
+from Day's relation, against a loop of ``satisfies`` and
+``generated_congruence``, neither of which runs that path.
 """
 
 import itertools
@@ -36,7 +37,7 @@ from latquot import (
     quotient,
     satisfies,
 )
-from latquot import variety
+from latquot import core, variety
 from latquot.core import distributive_failure
 
 FOUR_VAR = parse_identity_file(r"x /\ (y \/ (z /\ w)) = (x /\ y) \/ (x /\ z /\ w)", "four-var")
@@ -159,10 +160,16 @@ def test_a_trivial_class_yields_the_full_congruence(catalog):
 
 
 def test_delta_of_boolean_8_runs_no_sweep(monkeypatch):
-    def no_sweep(*args):
-        raise AssertionError("an identity sweep ran")
+    # the distributive class is answered from Day's relation alone: no
+    # sweep, no quotient and no join-prime search
+    def forbidden(what):
+        def run(*args):
+            raise AssertionError(f"{what} ran")
+        return run
 
-    monkeypatch.setattr(variety, "_first_failure", no_sweep)
+    monkeypatch.setattr(variety, "_first_failure", forbidden("an identity sweep"))
+    monkeypatch.setattr(variety, "quotient", forbidden("a quotient"))
+    monkeypatch.setattr(core, "distributive_failure", forbidden("distributive_failure"))
     lat = boolean(8).lattice
     assert delta(lat) == identity_congruence(lat)
     pentagon = n5().lattice

@@ -62,17 +62,31 @@ def test_kappa_examples():
 def test_kappa_work_cap(monkeypatch):
     # one 3-variable identity on n5 sweeps 5^3 = 125 assignments
     lat = n5().lattice
-    assert kappa(lat, DISTRIBUTIVE, max_work=125) == principal_congruence(lat, "a", "b")
+    assert kappa(lat, MODULAR, max_work=125) == principal_congruence(lat, "a", "b")
 
     def no_sweep(*args):
         raise AssertionError("swept despite the cap")
 
     monkeypatch.setattr(variety, "_first_failure", no_sweep)
     with pytest.raises(SizeLimitExceeded):
-        kappa(lat, DISTRIBUTIVE, max_work=124)
-    two = ClassSpec(DISTRIBUTIVE.identities + MODULAR.identities, "both")
+        kappa(lat, MODULAR, max_work=124)
+    dual = parse_identity(r"x \/ (y /\ (x \/ z)) = (x \/ y) /\ (x \/ z)", "dual-modular")
+    two = ClassSpec(MODULAR.identities + (dual,), "both")
     with pytest.raises(SizeLimitExceeded):
         kappa(lat, two, max_work=249)
+
+
+def test_delta_work_cap_charges_the_day_relation():
+    # the distributive class builds Day's relation, charged 5^2 = 25 on n5
+    lat = n5().lattice
+    assert kappa(lat, DISTRIBUTIVE, max_work=25) == principal_congruence(lat, "a", "b")
+    with pytest.raises(SizeLimitExceeded):
+        kappa(lat, DISTRIBUTIVE, max_work=24)
+    # below five elements the sweep runs, and is charged: 4^3 = 64 on chain-4
+    four = chain(4).lattice
+    assert kappa(four, DISTRIBUTIVE, max_work=64) == identity_congruence(four)
+    with pytest.raises(SizeLimitExceeded):
+        kappa(four, DISTRIBUTIVE, max_work=63)
 
 
 def test_satisfies_witness_is_first_failure():
@@ -247,8 +261,8 @@ def test_inconsistent_identity_collapses(catalog):
 
 def test_kappa_searches_l_itself_before_the_first_closure(monkeypatch):
     # L/identity is L with the same indices, so a lattice already in the
-    # class needs no quotient: one call per search path (join-prime
-    # witness, sweep, and the sweep below five elements)
+    # class needs no quotient: one call per path (Day's relation, the
+    # sweep, and the sweep below five elements)
     def no_quotient(*args):
         raise AssertionError("a quotient was built")
 

@@ -229,7 +229,8 @@ def _add_class(sub):
     sub.add_argument("--identities", metavar="FILE",
                      help="file of identities, one 'lhs = rhs' per line")
     sub.add_argument("--max-work", type=int, default=10_000_000, metavar="N",
-                     help="cap on the identity sweep, the sum of n^k over the "
+                     help="cap on kappa's work: n^2 for the distributive class, "
+                          "else the identity sweep, the sum of n^k over the "
                           "identities (default 10000000)")
 
 

@@ -67,21 +67,16 @@ def satisfies(lat, spec):
     return (ident, {v: lat.elements[i] for v, i in env.items()})
 
 
-def check_work(size, spec, max_work, distributive=False):
-    """Raise SizeLimitExceeded if ``kappa``'s search over ``size`` elements
-    exceeds ``max_work``: size^2 when ``distributive`` (the identities
-    define the distributive class, so Day's relation is built instead of a
-    sweep), else one full sweep of ``spec``, the sum of size^k over the
-    identities."""
+def check_work(size, spec, max_work):
+    """Raise SizeLimitExceeded if one full sweep of ``spec`` over ``size``
+    elements, the sum of size^k over the identities, exceeds ``max_work``."""
     if max_work is None:
         return
-    if distributive:
-        work, what = size ** 2, "Day relation over {} element pairs"
-    else:
-        work = sum(size ** len(sweep_order(ident)) for ident in spec.identities)
-        what = "identity sweep of {} assignments"
+    work = sum(size ** len(sweep_order(ident)) for ident in spec.identities)
     if work > max_work:
-        raise SizeLimitExceeded(f"{what.format(work)} exceeds the work cap {max_work}")
+        raise SizeLimitExceeded(
+            f"identity sweep of {work} assignments exceeds the work cap {max_work}"
+        )
 
 
 # The three lattices that tell whether identities define exactly the
@@ -150,18 +145,27 @@ def kappa(lat, spec, max_work=None):
     loop ends, and it ends on a sweep that finds no failure: that sweep
     is the proof that the quotient by the returned theta is in the class.
 
-    ``max_work`` caps the search (see ``check_work``): |L|^2 for the
-    distributive class, one full sweep of L for any other; above it,
-    SizeLimitExceeded is raised before L is searched.
+    ``max_work`` caps the search, charging the path that runs.  The spec
+    is classified only if sweeping 2, M3 and N5 fits the cap (the sum of
+    2^k + 2 * 5^k over the k-variable identities); the distributive class
+    is then charged |L|^2 for Day's relation.  Any other spec, and any
+    spec whose classification does not fit, is charged one full sweep of
+    L (``check_work``).  Above the charge, SizeLimitExceeded is raised
+    before L is searched.
     """
-    sweeps = _sweeps(spec)
-    distributive = len(lat) >= 5 and _defines_distributive(sweeps)
-    check_work(len(lat), spec, max_work, distributive)
-    if distributive:
+    size, sweeps = len(lat), _sweeps(spec)
+    # classifying the spec sweeps 2, M3 and N5, so it must fit the cap too
+    classify = sum(2 ** len(sweep.names) + 2 * 5 ** len(sweep.names) for sweep in sweeps)
+    if (size >= 5 and (max_work is None or classify <= max_work)
+            and _defines_distributive(sweeps)):
+        if max_work is not None and size ** 2 > max_work:
+            raise SizeLimitExceeded(
+                f"Day relation over {size ** 2} element pairs exceeds the work cap {max_work}")
         sources = 0
         for preds in lat.day().pred:
             sources |= preds
         return _mask_congruence(lat, sources)
+    check_work(size, spec, max_work)
     closed = 0  # the D-closed set of theta, grown by one forced pair a round
     theta = identity_congruence(lat)
     target, reps = lat, range(len(lat))  # L/identity is L, with the same indices

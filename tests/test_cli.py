@@ -96,6 +96,21 @@ def test_kappa_work_cap_exit_code(capsys, tmp_path):
     assert "size limit" in err and "17210368" in err
 
 
+def test_a_wide_identity_is_refused_before_it_is_classified(capsys, tmp_path):
+    # an absorption law in 15 variables holds in M3, so classifying it would
+    # sweep 5^15 assignments of M3; its 2^15 + 2 * 5^15 exceed the cap, and
+    # 28^15 for the sweep of fm-3 is refused at once
+    path = tmp_path / "wide.ids"
+    variables = [f"x{i}" for i in range(1, 16)]
+    path.write_text(r"x1 /\ (" + r" \/ ".join(variables) + ") = x1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kappa", "catalog:fm-3", "--identities", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert f"identity sweep of {28 ** 15} assignments" in err
+
+
 def test_max_work_flag(capsys):
     # one 3-variable identity on n5 sweeps 5^3 = 125 assignments
     code, _, err = run(capsys, "delta", "catalog:n5", "--class", "modular", "--max-work", "124")

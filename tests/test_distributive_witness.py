@@ -169,7 +169,10 @@ def test_delta_of_boolean_8_runs_no_sweep(monkeypatch):
 
     monkeypatch.setattr(variety, "_first_failure", forbidden("an identity sweep"))
     monkeypatch.setattr(variety, "quotient", forbidden("a quotient"))
+    # a call through core's module is caught by the patch, a name imported
+    # into variety by the assertion
     monkeypatch.setattr(core, "distributive_failure", forbidden("distributive_failure"))
+    assert not hasattr(variety, "distributive_failure")
     lat = boolean(8).lattice
     assert delta(lat) == identity_congruence(lat)
     pentagon = n5().lattice

@@ -76,13 +76,33 @@ def test_kappa_work_cap(monkeypatch):
         kappa(lat, two, max_work=249)
 
 
-def test_delta_work_cap_charges_the_day_relation():
-    # the distributive class builds Day's relation, charged 5^2 = 25 on n5
+def test_delta_work_cap_charges_the_day_relation(monkeypatch):
+    # the distributive class builds Day's relation, charged 20^2 = 400 on
+    # chain-20, once classifying the spec (2^3 + 2 * 5^3 = 258) fits the cap
+    twenty = chain(20).lattice
+    assert kappa(twenty, DISTRIBUTIVE, max_work=400) == identity_congruence(twenty)
+    with pytest.raises(SizeLimitExceeded, match="Day relation over 400"):
+        kappa(twenty, DISTRIBUTIVE, max_work=399)
+    # below 258 the spec is not classified and the sweep is charged:
+    # 5^3 = 125 on n5
     lat = n5().lattice
-    assert kappa(lat, DISTRIBUTIVE, max_work=25) == principal_congruence(lat, "a", "b")
-    with pytest.raises(SizeLimitExceeded):
-        kappa(lat, DISTRIBUTIVE, max_work=24)
+
+    def no_classifying(*args):
+        raise AssertionError("classified despite the cap")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(variety, "_defines_distributive", no_classifying)
+        assert kappa(lat, DISTRIBUTIVE, max_work=257) == principal_congruence(lat, "a", "b")
+        with pytest.raises(SizeLimitExceeded, match="identity sweep of 125"):
+            kappa(lat, DISTRIBUTIVE, max_work=124)
+
+    def no_sweep(*args):
+        raise AssertionError("swept on the Day path")
+
+    monkeypatch.setattr(variety, "_first_failure", no_sweep)
+    assert kappa(lat, DISTRIBUTIVE, max_work=258) == principal_congruence(lat, "a", "b")
     # below five elements the sweep runs, and is charged: 4^3 = 64 on chain-4
+    monkeypatch.undo()
     four = chain(4).lattice
     assert kappa(four, DISTRIBUTIVE, max_work=64) == identity_congruence(four)
     with pytest.raises(SizeLimitExceeded):

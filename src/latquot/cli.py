@@ -224,10 +224,12 @@ def _add_max_con(sub):
 
 
 def _add_class(sub):
-    sub.add_argument("--class", dest="klass", choices=sorted(BUILTIN_CLASSES),
-                     help="built-in equational class (default distributive)")
-    sub.add_argument("--identities", metavar="FILE",
-                     help="file of identities, one 'lhs = rhs' per line")
+    # one class source: a named class and an identity file together is a usage error
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--class", dest="klass", choices=sorted(BUILTIN_CLASSES),
+                        help="built-in equational class (default distributive)")
+    source.add_argument("--identities", metavar="FILE",
+                        help="file of identities, one 'lhs = rhs' per line")
     sub.add_argument("--max-work", type=int, default=10_000_000, metavar="N",
                      help="cap on kappa's work: n^2 for the distributive class, "
                           "else the identity sweep, the sum of n^k over the "

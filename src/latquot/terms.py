@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from operator import getitem, itemgetter
 from typing import Union
 
@@ -411,6 +412,19 @@ class ClassSpec:
 
     identities: tuple
     name: str = ""
+
+    @cached_property
+    def sweeps(self):
+        """Each identity compiled (``IdentitySweep``), in spec order.
+
+        Compiled on first use and kept on the spec: ``cached_property``
+        writes the instance's ``__dict__`` directly, past the frozen
+        ``__setattr__``, and a compiled identity depends on the identity
+        alone, which cannot change (the identities are a tuple of frozen
+        ``Identity`` objects).  It is not a field, so equality, hashing and
+        ``repr`` ignore it.
+        """
+        return tuple(IdentitySweep(ident) for ident in self.identities)
 
 
 def parse_identity(line, name=""):

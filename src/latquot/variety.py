@@ -28,18 +28,13 @@ from .congruence import (
 )
 from .core import product
 from .errors import SizeLimitExceeded
-from .terms import DISTRIBUTIVE, IdentitySweep, sweep_order
-
-
-def _sweeps(spec):
-    """Each identity of ``spec`` compiled once, for any number of sweeps."""
-    return [IdentitySweep(ident) for ident in spec.identities]
+from .terms import DISTRIBUTIVE
 
 
 def _first_failure(lat, sweeps):
     """The first failing assignment, or None if ``lat`` satisfies them all.
 
-    ``sweeps`` are compiled identities (``_sweeps``), tried in order.
+    ``sweeps`` are compiled identities (a spec's ``sweeps``), tried in order.
     A failure is (identity, env, lhs, rhs) at index level: env maps names
     to indices, lhs != rhs are the two values.
     """
@@ -60,7 +55,7 @@ def satisfies(lat, spec):
     sweep order: the lhs's variables by first occurrence, then the rhs's
     new ones.
     """
-    failure = _first_failure(lat, _sweeps(spec))
+    failure = _first_failure(lat, spec.sweeps)
     if failure is None:
         return True
     ident, env, _, _ = failure
@@ -72,7 +67,7 @@ def check_work(size, spec, max_work):
     elements, the sum of size^k over the identities, exceeds ``max_work``."""
     if max_work is None:
         return
-    work = sum(size ** len(sweep_order(ident)) for ident in spec.identities)
+    work = sum(size ** len(sweep.names) for sweep in spec.sweeps)
     if work > max_work:
         raise SizeLimitExceeded(
             f"identity sweep of {work} assignments exceeds the work cap {max_work}"
@@ -100,17 +95,43 @@ def _defines_distributive(sweeps):
     return holds(_CHAIN2) and not holds(_M3) and not holds(_N5)
 
 
+class _ClassTest:
+    """Whether a spec defines exactly the distributive class, and what
+    deciding it costs: sweeping 2, M3 and N5, the sum of 2^k + 2 * 5^k
+    assignments over its k-variable identities.  Both depend on the spec
+    alone; the verdict is decided on first request (``_class_test``)."""
+
+    def __init__(self, sweeps):
+        self.sweeps = sweeps
+        self.charge = sum(2 ** len(sweep.names) + 2 * 5 ** len(sweep.names) for sweep in sweeps)
+        self._verdict = None
+
+    def defines_distributive(self):
+        if self._verdict is None:
+            self._verdict = _defines_distributive(self.sweeps)
+        return self._verdict
+
+
+def _class_test(spec):
+    """The ``_ClassTest`` of ``spec``, made once and kept on the spec, in
+    its ``__dict__`` beside the ``sweeps`` it is made from."""
+    test = spec.__dict__.get("_class_test")
+    if test is None:
+        test = spec.__dict__["_class_test"] = _ClassTest(spec.sweeps)
+    return test
+
+
 def kappa(lat, spec, max_work=None):
     """Least congruence whose quotient lies in the class.
 
     Congruences are handled as D-closed sets of join-irreducibles (see
     ``congruence``).  When the identities define exactly the distributive
     class (``_defines_distributive``: 2 satisfies them, M3 and N5 do not;
-    decided once per call, and for |L| >= 5 only, since every smaller
-    lattice is distributive and one sweep of it costs less than sweeping 2,
-    M3 and N5), the answer is delta(L), and it is the congruence theta
-    of the set S of D's sources, the j with j D k for some k.  Proof in
-    two parts.
+    decided once per spec and kept on it, and asked for |L| >= 5 only,
+    since every smaller lattice is distributive and one sweep of it costs
+    less than sweeping 2, M3 and N5), the answer is delta(L), and it is
+    the congruence theta of the set S of D's sources, the j with j D k
+    for some k.  Proof in two parts.
 
     Each source is forced: let j D k by p, and phi any congruence with
     distributive quotient.  Then j != k, j is below neither k nor p (else
@@ -151,13 +172,14 @@ def kappa(lat, spec, max_work=None):
     is then charged |L|^2 for Day's relation.  Any other spec, and any
     spec whose classification does not fit, is charged one full sweep of
     L (``check_work``).  Above the charge, SizeLimitExceeded is raised
-    before L is searched.
+    before L is searched.  The cap is tested on every call, before a kept
+    verdict is read, so a spec classified by an earlier call is charged
+    exactly as a fresh one.
     """
-    size, sweeps = len(lat), _sweeps(spec)
+    size, test = len(lat), _class_test(spec)
     # classifying the spec sweeps 2, M3 and N5, so it must fit the cap too
-    classify = sum(2 ** len(sweep.names) + 2 * 5 ** len(sweep.names) for sweep in sweeps)
-    if (size >= 5 and (max_work is None or classify <= max_work)
-            and _defines_distributive(sweeps)):
+    if (size >= 5 and (max_work is None or test.charge <= max_work)
+            and test.defines_distributive()):
         if max_work is not None and size ** 2 > max_work:
             raise SizeLimitExceeded(
                 f"Day relation over {size ** 2} element pairs exceeds the work cap {max_work}")
@@ -170,7 +192,7 @@ def kappa(lat, spec, max_work=None):
     theta = identity_congruence(lat)
     target, reps = lat, range(len(lat))  # L/identity is L, with the same indices
     while True:
-        failure = _first_failure(target, sweeps)
+        failure = _first_failure(target, spec.sweeps)
         if failure is None:
             return theta
         left, right = failure[2:]
@@ -186,10 +208,9 @@ def delta(lat):
 
 
 def _in_class(lat, cons, spec):
-    """The members of ``cons`` whose quotient lies in the class, in order;
-    each identity is compiled once for all of them."""
-    sweeps = _sweeps(spec)
-    return [theta for theta in cons if _first_failure(quotient(lat, theta).target, sweeps) is None]
+    """The members of ``cons`` whose quotient lies in the class, in order."""
+    return [theta for theta in cons
+            if _first_failure(quotient(lat, theta).target, spec.sweeps) is None]
 
 
 def class_filter(lat, spec, max_size=12):

@@ -344,3 +344,23 @@ def test_flags_that_nothing_reads_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta", "catalog:n5"],
+    ["kappa", "catalog:n5"],
+    ["quotient", "catalog:n5", "kappa"],
+    ["dot", "catalog:n5", "--highlight", "kappa"],
+])
+def test_a_class_and_an_identity_file_together_are_a_usage_error(capsys, tmp_path, argv):
+    # --identities used to win silently, whichever order the two came in
+    path = tmp_path / "f.ids"
+    path.write_text("x = x\n")
+    for both in (["--class", "modular", "--identities", str(path)],
+                 ["--identities", str(path), "--class", "modular"]):
+        code, out, err = run(capsys, *argv, *both)
+        assert code == 1 and out == "", both
+        assert "error: argument" in err and "not allowed with argument" in err
+    # either flag alone is still read
+    code, out, _ = run(capsys, *argv, "--identities", str(path))
+    assert code == 0 and out

@@ -149,7 +149,7 @@ def test_kappa_matches_the_sweep_loop(lat):
     (DISTRIBUTIVE_AND_TRIVIAL, False),
 ])
 def test_which_classes_take_the_join_prime_path(spec, defines):
-    assert variety._defines_distributive(variety._sweeps(spec)) is defines
+    assert variety._defines_distributive(spec.sweeps) is defines
 
 
 def test_a_trivial_class_yields_the_full_congruence(catalog):

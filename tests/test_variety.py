@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from latquot import (
@@ -9,6 +11,7 @@ from latquot import (
     chain,
     class_filter,
     delta,
+    from_covers,
     full_congruence,
     identity_congruence,
     is_distributive,
@@ -18,9 +21,11 @@ from latquot import (
     m3,
     n5,
     parse_identity,
+    parse_identity_file,
     principal_congruence,
     product,
     quotient,
+    resolve,
     satisfies,
     variety,
     verify_theorem1,
@@ -28,6 +33,7 @@ from latquot import (
     verify_theorem3,
 )
 from latquot.errors import SizeLimitExceeded
+from latquot.terms import IdentitySweep
 
 DUAL_DISTRIBUTIVE = ClassSpec(
     (parse_identity(r"a \/ (b /\ c) = (a \/ b) /\ (a \/ c)", "dual"),), "dual-distributive"
@@ -107,6 +113,85 @@ def test_delta_work_cap_charges_the_day_relation(monkeypatch):
     assert kappa(four, DISTRIBUTIVE, max_work=64) == identity_congruence(four)
     with pytest.raises(SizeLimitExceeded):
         kappa(four, DISTRIBUTIVE, max_work=63)
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("ran on a warm spec")
+
+
+def test_a_warm_spec_is_neither_compiled_nor_classified_again(monkeypatch):
+    pentagon, diamond = n5().lattice, m3().lattice
+    big = product(n5().lattice, m3().lattice)
+    # expected values from cold copies of the two specs, equal but not the same objects
+    cold_d = ClassSpec(DISTRIBUTIVE.identities, DISTRIBUTIVE.name)
+    cold_m = ClassSpec(MODULAR.identities, MODULAR.name)
+    expected = [kappa(big, cold_d), kappa(pentagon, cold_m), satisfies(pentagon, cold_d),
+                satisfies(diamond, cold_m), class_filter(pentagon, cold_m)]
+    delta(pentagon)
+    kappa(pentagon, MODULAR)
+    monkeypatch.setattr(IdentitySweep, "__init__", _fail)
+    monkeypatch.setattr(variety, "_defines_distributive", _fail)
+    fresh = from_covers(big.elements, big.covers())
+    assert delta(fresh) == expected[0]
+    assert kappa(pentagon, MODULAR) == expected[1] == principal_congruence(pentagon, "a", "b")
+    assert satisfies(pentagon, DISTRIBUTIVE) == expected[2]
+    assert expected[2][1] == {"a": "a", "b": "b", "c": "c"}
+    assert satisfies(diamond, MODULAR) is expected[3] is True
+    assert class_filter(pentagon, MODULAR) == expected[4]
+    # the kept values are not fields: equal specs stay equal, with one hash
+    assert cold_d == DISTRIBUTIVE and hash(cold_d) == hash(DISTRIBUTIVE)
+    assert cold_d.sweeps is not DISTRIBUTIVE.sweeps
+
+
+def test_a_spec_parsed_twice_gives_the_same_results_and_witnesses():
+    text = "x /\\ (y \\/ (z /\\ w)) = (x /\\ y) \\/ (x /\\ z /\\ w)\nx \\/ y = y \\/ x\n"
+    first, second = parse_identity_file(text, "twice"), parse_identity_file(text, "twice")
+    assert first == second and first is not second
+    for named in (n5(), m3(), chain(3), boolean(3)):
+        lat = named.lattice
+        # first is compiled and classified before second, then the other way round
+        assert kappa(lat, first) == kappa(lat, second)
+        assert satisfies(lat, second) == satisfies(lat, first)
+        assert kappa(lat, first, max_work=10 ** 6) == kappa(lat, second)
+    assert [s.names for s in first.sweeps] == [s.names for s in second.sweeps]
+
+
+def test_the_work_cap_is_tested_before_a_kept_verdict(monkeypatch):
+    # classified once without a cap: the n5 boundaries of
+    # test_delta_work_cap_charges_the_day_relation still hold
+    lat = n5().lattice
+    theta = principal_congruence(lat, "a", "b")
+    assert kappa(lat, DISTRIBUTIVE) == theta
+    first_failure, swept = variety._first_failure, []
+
+    def counting(target, sweeps):
+        swept.append(len(target))
+        return first_failure(target, sweeps)
+
+    monkeypatch.setattr(variety, "_first_failure", counting)
+    assert kappa(lat, DISTRIBUTIVE, max_work=258) == theta
+    assert swept == []
+    with monkeypatch.context() as patch:
+        patch.setattr(variety._ClassTest, "defines_distributive", _fail)
+        assert kappa(lat, DISTRIBUTIVE, max_work=257) == theta
+        assert swept and swept[0] == 5
+        with pytest.raises(SizeLimitExceeded, match="identity sweep of 125"):
+            kappa(lat, DISTRIBUTIVE, max_work=124)
+
+
+def test_a_wide_identity_is_refused_after_a_warm_call():
+    # as in the CLI test of that name: 2^15 + 2 * 5^15 exceed the cap, so the
+    # law is never classified, however often the spec has been used
+    variables = [f"x{i}" for i in range(1, 16)]
+    wide = parse_identity_file(r"x1 /\ (" + r" \/ ".join(variables) + ") = x1", "wide")
+    two = chain(2).lattice
+    assert kappa(two, wide) == identity_congruence(two)
+    lat = resolve("fm-3").lattice
+    start = time.perf_counter()
+    for _ in range(2):
+        with pytest.raises(SizeLimitExceeded, match=f"identity sweep of {28 ** 15} "):
+            kappa(lat, wide, max_work=10 ** 7)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_satisfies_witness_is_first_failure():

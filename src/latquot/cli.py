@@ -7,15 +7,18 @@ Exit codes: 0 success/pass, 1 input or usage error, 2 theorem-check FAIL,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from . import catalog as _catalog
 from .congruence import (
+    _closed_set,
+    _congruence_closure,
     all_congruences,
     congruence_from_blocks,
     join_irreducible_congruences,
-    principal_congruence,
     quotient,
 )
 from .core import is_distributive, is_modular, product
@@ -101,14 +104,14 @@ def cmd_info(args):
 
 
 def principal_generator(lat, theta):
-    """A pair (a, b) with theta(a, b) == theta, or None."""
+    """The first pair (a, b) in index order with theta(a, b) == theta, or
+    None; congruences are compared by their D-closed sets."""
+    closed = _closed_set(lat, theta)
     n = len(lat)
     for i in range(n):
         for j in range(i, n):
-            if theta.same(i, j):
-                a, b = lat.elements[i], lat.elements[j]
-                if principal_congruence(lat, a, b) == theta:
-                    return (a, b)
+            if theta.same(i, j) and _congruence_closure(lat, 0, [(i, j)]) == closed:
+                return (lat.elements[i], lat.elements[j])
     return None
 
 
@@ -218,8 +221,16 @@ def _add_json(sub):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+def cap(text):
+    """A work or enumeration cap: an integer, 0 or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap must be 0 or more, not {value}")
+    return value
+
+
 def _add_max_con(sub):
-    sub.add_argument("--max-con", type=int, default=12, metavar="N",
+    sub.add_argument("--max-con", type=cap, default=12, metavar="N",
                      help="congruence enumeration cap (default 12)")
 
 
@@ -230,7 +241,7 @@ def _add_class(sub):
                         help="built-in equational class (default distributive)")
     source.add_argument("--identities", metavar="FILE",
                         help="file of identities, one 'lhs = rhs' per line")
-    sub.add_argument("--max-work", type=int, default=10_000_000, metavar="N",
+    sub.add_argument("--max-work", type=cap, default=10_000_000, metavar="N",
                      help="cap on kappa's work: n^2 for the distributive class, "
                           "else the identity sweep, the sum of n^k over the "
                           "identities (default 10000000)")
@@ -300,18 +311,31 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit code.  A reader that closes
+    stdout early, as ``latquot ... | head -n 1`` does, is not an error: the
+    output stops, and the code is the command's own if it had finished,
+    else 0."""
+    code = EXIT_OK
     try:
         args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
-    try:
-        return args.func(args)
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; send that write nowhere
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
     except SizeLimitExceeded as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE
     except (LatticeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

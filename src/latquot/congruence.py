@@ -11,10 +11,13 @@ below y agree outside S, so the partition is one pass that keys each x
 by J(x) \\ S.  The sets S that occur are exactly those closed under
 D-predecessors (``core.DayRelation``): i D k makes con(i_*, i) lie below
 con(k_*, k).  The congruence generated by theta and a pair (a, b) has the
-D-closure of S and J(a \\/ b) \\ J(a /\\ b) as its set.
-``congruence_from_blocks`` and ``cong_join`` check compatibility with
-meet and join; ``quotient`` trusts its congruence and does not
-re-validate L/theta.
+D-closure of S and J(a \\/ b) \\ J(a /\\ b) as its set.  ``cong_join``
+is the same closure, seeded with each element paired with its block's
+minimum in either partition; for two congruences it gives the union of
+their sets.  ``congruence_from_blocks`` checks its input for
+compatibility with meet and join, and ``cong_join`` still re-checks its
+result; ``quotient`` trusts its congruence and does not re-validate
+L/theta.
 
 ``Con(L)`` is the join-closure of the distinct congruences
 ``con(j_*, j)``, one for each join-irreducible ``j`` with its one lower
@@ -77,34 +80,6 @@ class Congruence:
         for block in self.blocks():
             parts.append("{" + ",".join(lat.elements[i] for i in block) + "}")
         return "".join(parts)
-
-
-class _Partition:
-    """A partition of the indices 0..n-1, grown in place by merging blocks.
-
-    ``block_of[i]`` is the least index of ``i``'s block and ``members[r]``
-    lists the block labelled ``r`` (empty once merged away).  A merge
-    relabels the block with the larger label, so ``block_of`` stays
-    canonical and is a ``Congruence``'s labelling as it stands.  Used by
-    ``cong_join``.
-    """
-
-    __slots__ = ("block_of", "members")
-
-    def __init__(self, n):
-        self.block_of = list(range(n))
-        self.members = [[i] for i in range(n)]
-
-    def merge(self, x, y):
-        """Merge the blocks of x and y, which must be distinct."""
-        block_of, members = self.block_of, self.members
-        keep, gone = block_of[x], block_of[y]
-        if gone < keep:
-            keep, gone = gone, keep
-        for i in members[gone]:
-            block_of[i] = keep
-        members[keep] += members[gone]
-        members[gone] = []
 
 
 def identity_congruence(lat):
@@ -245,22 +220,16 @@ def cong_meet(t1, t2):
 
 
 def cong_join(lat, t1, t2):
-    """Least congruence above both: merge intersecting blocks to fixpoint.
-
-    For congruences the transitive closure of the union is again a
-    congruence; this is re-checked on every call rather than trusted.
+    """Least congruence above both partitions, congruences or not: the
+    D-closure of the join-irreducibles either one collapses, read from each
+    element paired with its block's minimum.
     """
     _check_same_lattice(t1, t2)
     if t1.lattice_size != len(lat):
         raise LatticeMismatch("congruence is for a different lattice")
-    n = t1.lattice_size
-    part = _Partition(n)
-    block_of = part.block_of
-    for theta in (t1, t2):
-        for i, r in enumerate(theta.block_of):
-            if block_of[i] != block_of[r]:
-                part.merge(i, r)
-    joined = Congruence(n, block_of)
+    pairs = [(i, r) for theta in (t1, t2) for i, r in enumerate(theta.block_of) if i != r]
+    joined = _mask_congruence(lat, _congruence_closure(lat, 0, pairs))
+    # always None; the O(n^3) re-check goes once the benchmark bounds its memory (ROADMAP item 1)
     witness = congruence_witness(lat, joined)
     if witness is not None:
         raise NotACongruence(witness)

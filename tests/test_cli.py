@@ -1,8 +1,13 @@
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import latquot
 from latquot import dump_lattice_text, parse_lattice_text, resolve
 from latquot.catalog import CATALOG_NAMES
 from latquot.cli import main
@@ -132,6 +137,19 @@ def test_max_work_flag(capsys):
     code, _, _ = run(capsys, "check", "--theorem", "3", "catalog:m3", "catalog:n5",
                      "--max-work", "15625")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["delta", "catalog:n5", "--max-work", "-1"],
+    ["congruences", "catalog:n5", "--max-con", "-1"],
+])
+def test_a_negative_cap_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "usage:" in err and "a cap must be 0 or more" in err
+    # a cap of 0 is valid, and refuses all work
+    code, _, err = run(capsys, *argv[:-1], "0")
+    assert code == 3 and "size limit" in err
 
 
 def test_delta_of_boolean_8_fits_the_default_work_cap(capsys):
@@ -364,3 +382,52 @@ def test_a_class_and_an_identity_file_together_are_a_usage_error(capsys, tmp_pat
     # either flag alone is still read
     code, out, _ = run(capsys, *argv, "--identities", str(path))
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv", [["delta", "catalog:n5"], ["congruences", "catalog:chain-12"]])
+def test_a_closed_stdout_exits_zero_and_prints_nothing(argv):
+    # the read end is closed before the child writes, as `| head -n 1` does
+    # once it has its line; chain-12's 2048 lines overflow the buffer mid-command
+    src = os.path.dirname(os.path.dirname(latquot.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "latquot.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: each write, or only the flush, fails."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.fail_on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_in_process(capsys, monkeypatch):
+    for fail_on in ("write", "flush"):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fail_on))
+        assert main(["delta", "catalog:n5"]) == 0
+        assert capsys.readouterr().err == ""
+    # a command that finished keeps its own code; one cut short returns 0
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe("flush"))
+    assert main(["congruences", "catalog:n5", "--max-con", "0"]) == 3
+    assert capsys.readouterr().err.startswith("size limit:")
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe("write"))
+    assert main(["congruences", "catalog:chain-3"]) == 0
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().err == ""

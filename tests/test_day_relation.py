@@ -24,7 +24,7 @@ from latquot import (
     product,
     quotient,
 )
-from latquot.congruence import Congruence, _mask_congruence, _Partition
+from latquot.congruence import Congruence, _mask_congruence
 from latquot.core import distributive_failure
 
 from test_distributive_witness import lattices
@@ -82,14 +82,23 @@ def test_d_closed_sets_give_exactly_con_l_at_ten_elements():
     assert closed_congruences(pentagon_by_chain) == _partition_oracle(pentagon_by_chain)
 
 
-def _worklist_closure(lat, part, seed_pairs):
-    """The least congruence above the congruence ``part`` merging every seed
-    pair: translate each merged pair by every element, until none merges."""
-    block_of = part.block_of
+def _merge(block_of, x, y):
+    """Merge the blocks of x and y, relabelling the block with the larger
+    label, so that each label stays its block's minimum."""
+    keep, gone = sorted((block_of[x], block_of[y]))
+    for i, r in enumerate(block_of):
+        if r == gone:
+            block_of[i] = keep
+
+
+def _worklist_closure(lat, block_of, seed_pairs):
+    """The least congruence above the congruence ``block_of`` merging every
+    seed pair: translate each merged pair by every element, until none
+    merges.  ``block_of`` is grown in place."""
     work = []
     for a, b in seed_pairs:
         if block_of[a] != block_of[b]:
-            part.merge(a, b)
+            _merge(block_of, a, b)
             work.append((a, b))
     meet, join = lat.meet_table, lat.join_table
     while work:
@@ -97,7 +106,7 @@ def _worklist_closure(lat, part, seed_pairs):
         for row_x, row_y in ((meet[x], meet[y]), (join[x], join[y])):
             for p, q in zip(row_x, row_y):
                 if block_of[p] != block_of[q]:
-                    part.merge(p, q)
+                    _merge(block_of, p, q)
                     work.append((p, q))
     return Congruence(len(lat), block_of)
 
@@ -105,7 +114,7 @@ def _worklist_closure(lat, part, seed_pairs):
 def delta_by_join_prime_rounds(lat):
     """delta by rounds: collapse the pair of ``distributive_failure`` on
     L/theta, lifted to block minima, until L/theta is distributive."""
-    part = _Partition(len(lat))
+    block_of = list(range(len(lat)))
     theta = identity_congruence(lat)
     target, reps = lat, range(len(lat))
     while True:
@@ -113,7 +122,7 @@ def delta_by_join_prime_rounds(lat):
         if pair is None:
             return theta
         left, right = pair
-        theta = _worklist_closure(lat, part, [(reps[left], reps[right])])
+        theta = _worklist_closure(lat, block_of, [(reps[left], reps[right])])
         target = quotient(lat, theta).target
         reps = sorted(set(theta.block_of))
 

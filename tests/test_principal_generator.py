@@ -1,0 +1,43 @@
+"""``cli.principal_generator`` against a scan of every principal congruence.
+
+The generator compares D-closed sets.  Here it must return the first pair
+``i <= j`` in index order whose principal congruence is ``theta``, or None,
+for delta, kappa of the modular class and joins of two generators of
+Con(L), on random lattices of up to 16 elements.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latquot import (
+    MODULAR,
+    cong_join,
+    delta,
+    join_irreducible_congruences,
+    kappa,
+    principal_congruence,
+)
+from latquot.cli import principal_generator
+
+from test_kappa_differential import lattices
+
+
+def first_principal_pair(lat, theta):
+    names = lat.elements
+    for i in range(len(lat)):
+        for j in range(i, len(lat)):
+            if principal_congruence(lat, names[i], names[j]) == theta:
+                return (names[i], names[j])
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices(max_elements=16), st.data())
+def test_principal_generator_is_the_first_principal_pair(lat, data):
+    gens = join_irreducible_congruences(lat)
+    thetas = [delta(lat), kappa(lat, MODULAR)]
+    if gens:
+        pick = st.sampled_from(gens)
+        thetas.append(cong_join(lat, data.draw(pick), data.draw(pick)))
+    for theta in thetas:
+        assert principal_generator(lat, theta) == first_principal_pair(lat, theta)

@@ -145,7 +145,13 @@ def cmd_quotient(args):
 
 
 def cmd_product(args):
-    lat = product(load_lattice(args.lattice), load_lattice(args.other))
+    l1, l2 = load_lattice(args.lattice), load_lattice(args.other)
+    # the two tables grow as the square of the product's size
+    work = (len(l1) * len(l2)) ** 2
+    if work > args.max_work:
+        raise SizeLimitExceeded(f"product tables of {work} entries exceed the work cap "
+                                f"{args.max_work}")
+    lat = product(l1, l2)
     text = dump_lattice_text(lat)
     _emit(args, [text.rstrip("\n")], {"lattice": text})
     return EXIT_OK
@@ -241,10 +247,13 @@ def _add_class(sub):
                         help="built-in equational class (default distributive)")
     source.add_argument("--identities", metavar="FILE",
                         help="file of identities, one 'lhs = rhs' per line")
+    _add_max_work(sub, "cap on kappa's work: n^2 for the distributive class, else the "
+                       "identity sweep, the sum of n^k over the identities")
+
+
+def _add_max_work(sub, what):
     sub.add_argument("--max-work", type=cap, default=10_000_000, metavar="N",
-                     help="cap on kappa's work: n^2 for the distributive class, "
-                          "else the identity sweep, the sum of n^k over the "
-                          "identities (default 10000000)")
+                     help=f"{what} (default 10000000)")
 
 
 def build_parser():
@@ -278,6 +287,7 @@ def build_parser():
     p.add_argument("lattice")
     p.add_argument("other")
     _add_json(p)
+    _add_max_work(p, "cap on the product's meet and join tables, (|L1| |L2|)^2 entries")
     p.set_defaults(func=cmd_product)
 
     p = subs.add_parser("congruences", help="enumerate the congruence lattice")

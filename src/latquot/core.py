@@ -2,7 +2,8 @@
 
 A lattice is stored densely: an ordered tuple of element identifiers and
 total meet/join tables of indices.  The tables are the data; the order is
-derived from the meet table once, at construction, as per-element bitsets.
+derived from the meet table once, at construction, as per-element bitsets,
+unless the builder already holds them (``from_covers``).
 All public operations take and return identifiers; indices are internal.
 Instances are immutable after construction.
 
@@ -56,8 +57,10 @@ class Lattice:
     ``meet_table[i][j]`` and ``join_table[i][j]`` are the indices of
     ``i /\\ j`` and ``i \\/ j``.  The order is derived from the meet:
     ``i <= j`` iff ``i /\\ j == i``.  ``down[i]`` and ``up[i]`` are bitsets of
-    the indices below / above element ``i`` (inclusive).  The tables are
-    trusted; ``_validate`` checks the lattice axioms on them.  The
+    the indices below / above element ``i`` (inclusive), derived unless a
+    builder that already holds them passes them as ``_order=(down, up)``.
+    The tables are trusted, and so are given bitsets; ``_validate`` checks
+    the lattice axioms on them.  The
     identifiers are trusted as well: ``is_identifier`` is checked by
     ``from_covers``, not here.  Use
     :func:`from_covers` (or the constructors in :mod:`latquot.catalog`) to
@@ -66,7 +69,7 @@ class Lattice:
 
     __slots__ = ("elements", "_index", "down", "up", "meet_table", "join_table", "_day")
 
-    def __init__(self, elements, meet_table, join_table):
+    def __init__(self, elements, meet_table, join_table, *, _order=None):
         self.elements = tuple(elements)
         if not self.elements:
             raise LatticeError("empty carrier is not a lattice")
@@ -75,17 +78,18 @@ class Lattice:
         self._index = {e: i for i, e in enumerate(self.elements)}
         self.meet_table = tuple(tuple(row) for row in meet_table)
         self.join_table = tuple(tuple(row) for row in join_table)
-        # row a of the meet table holds a exactly at the b above a
-        n = len(self.elements)
-        up = [0] * n
-        down = [0] * n
-        for a, row in enumerate(self.meet_table):
-            for b in range(n):
-                if row[b] == a:
-                    up[a] |= 1 << b
-                    down[b] |= 1 << a
-        self.up = tuple(up)
-        self.down = tuple(down)
+        if _order is None:
+            # row a of the meet table holds a exactly at the b above a
+            n = len(self.elements)
+            up = [0] * n
+            down = [0] * n
+            for a, row in enumerate(self.meet_table):
+                for b in range(n):
+                    if row[b] == a:
+                        up[a] |= 1 << b
+                        down[b] |= 1 << a
+            _order = down, up
+        self.down, self.up = tuple(_order[0]), tuple(_order[1])
         self._day = None
 
     def day(self):
@@ -300,7 +304,7 @@ def from_covers(elements, covers):
             if up[j] >> i & 1:
                 down[i] |= 1 << j
     meet, join = _tables_from_order(elements, down, up)
-    return Lattice(elements, meet, join)
+    return Lattice(elements, meet, join, _order=(down, up))
 
 
 def product(l1, l2):

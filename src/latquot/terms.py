@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from operator import getitem, itemgetter
 from typing import Union
 
@@ -63,15 +64,17 @@ def eval_term(lat, term, assignment):
     return lat.elements[program.evaluate(lat, point)[0]]
 
 
-# Slot operations of a lowered term.  A row is a meet or join table row,
-# a vector is the values of a term over the innermost variable's range.
-_ROW = "row"  # env[out] = table[env[a]]
-_AT = "at"  # env[out] = env[a][env[b]], env[a] a row
-_AT2 = "at2"  # env[out] = table[env[a]][env[b]]
-_MAP = "map"  # vector: env[a] (a row) at each entry of vector env[b]
-_ZIP = "zip"  # vector: table[x][y] for x, y paired from vectors env[a], env[b]
-_TZIP = "tzip"  # vector: table[x][y] for x the innermost variable, y in env[b]
-_FILL = "fill"  # vector: env[a] at every entry
+# Slot operations of a lowered term, each as its line of a generated sweep
+# (``IdentitySweep``), where slot ``i`` is the local ``s<i>`` and T0, T1 are
+# the meet and join tables.  A row is a meet or join table row, a vector is
+# the values of a term over the innermost variable's range.
+_ROW = "s{out} = T{table}[s{a}]"
+_AT = "s{out} = s{a}[s{b}]"  # s{a} a row
+_AT2 = "s{out} = T{table}[s{a}][s{b}]"
+_MAP = "s{out} = itemgetter(*s{b})(s{a})"  # vector: row s{a} at each entry of s{b}
+_ZIP = "s{out} = tuple(map(getitem, itemgetter(*s{a})(T{table}), s{b}))"  # vectors paired
+_TZIP = "s{out} = tuple(map(getitem, T{table}, s{b}))"  # the innermost variable with s{b}
+_FILL = "s{out} = (s{a},) * n"  # vector: s{a} at every entry
 
 
 class _Program:
@@ -88,9 +91,10 @@ class _Program:
     ``levels[i]`` lists the operations run whenever variable ``i`` takes a
     new value; ``outputs`` are the slots of the lowered terms.  The program
     holds no tables, so one program serves any number of lattices.  Bound to
-    a lattice (``_bind``), each operation is a closure whose per-element
-    work runs in C builtins: vectors are tuples, like the table rows they
-    are gathered from.
+    a lattice (``_bind``), each operation is a closure; an ``IdentitySweep``
+    instead runs the program as one generated function.  Either way the
+    per-element work runs in C builtins: vectors are tuples, like the table
+    rows they are gathered from.
     """
 
     def __init__(self, terms, names):
@@ -220,17 +224,49 @@ class IdentitySweep:
 
     The variables are swept in ``names`` order (``sweep_order``), the first
     variable outermost.  The program is independent of the lattice, so one
-    compilation serves every lattice it is run on, bound to its meet and
-    join tables as they are, without a copy.  The innermost variable is a
-    whole vector; the last outer one is a flat loop that runs its own and
-    the innermost operations and compares the two sides' vectors; an
-    odometer drives the variables above it.
+    compilation serves every lattice it is run on, given its meet and join
+    tables as they are, without a copy.  The innermost variable is a whole
+    vector; the last outer one is a flat loop that runs its own and the
+    innermost operations and compares the two sides' vectors; one
+    ``itertools.product`` loop runs the variables above it, and all their
+    operations.  So the function nests two loops for any number of
+    variables, far below CPython's limit of 20 nested blocks.
     """
 
     def __init__(self, identity):
         self.identity = identity
         self.names = sweep_order(identity)
         self._program = _Program((identity.lhs, identity.rhs), self.names)
+
+    @cached_property
+    def _sweep(self):
+        """The program as the source of one function ``sweep(T0, T1, n, R)``,
+        compiled on first use and kept.  Only integers (slot and table
+        numbers, ``k``) and fixed names reach the source, never a variable
+        name of the identity; it runs in a fresh namespace that holds only
+        the three helpers it calls."""
+        program, k = self._program, len(self.names)
+        lhs, rhs = program.outputs
+        lines = ["def sweep(T0, T1, n, R):", f"    s{k - 1} = R"]
+        indent = "    "
+        if k > 2:
+            outer = "".join(f"s{v}, " for v in range(k - 2))
+            lines.append(f"    for {outer}in product(R, repeat={k - 2}):")
+            indent = "        "
+        for level, ops in enumerate(program.levels):
+            if level == k - 2:
+                lines.append(f"{indent}for s{level} in R:")
+                indent += "    "
+            lines += [indent + op.format(out=out, table=table, a=a, b=b)
+                      for op, out, table, a, b in ops]
+        point = "".join(f"s{v}, " for v in range(k - 1))
+        lines += [f"{indent}if s{lhs} != s{rhs}:",
+                  f"{indent}    for i in R:",
+                  f"{indent}        if s{lhs}[i] != s{rhs}[i]:",
+                  f"{indent}            return ({point}i,), s{lhs}[i], s{rhs}[i]"]
+        namespace = {"itemgetter": itemgetter, "getitem": getitem, "product": product}
+        exec(compile("\n".join(lines), "<identity sweep>", "exec"), namespace)
+        return namespace["sweep"]
 
     def first_failure(self, lat):
         """The first assignment, in lexicographic order of the variables'
@@ -239,54 +275,8 @@ class IdentitySweep:
         n = len(lat)
         if n == 1:
             return None  # every identity holds in the one-element lattice
-        k = len(self.names)
-        env = [None] * self._program.nslots
         # a tuple, as the table rows are, so a row used as a vector compares equal
-        env[k - 1] = tuple(range(n))
-        *outer, inner = self._program._bind((lat.meet_table, lat.join_table), env)
-        lhs, rhs = self._program.outputs
-
-        def failure():
-            left, right = env[lhs], env[rhs]
-            i = next(i for i in range(n) if left[i] != right[i])
-            return tuple(env[: k - 1]) + (i,), left[i], right[i]
-
-        if not outer:
-            for op in inner:
-                op()
-            return failure() if env[lhs] != env[rhs] else None
-        last = k - 2
-        ops = outer[last] + inner
-
-        def sweep_last():
-            for value in range(n):
-                env[last] = value
-                for op in ops:
-                    op()
-                if env[lhs] != env[rhs]:
-                    return failure()
-            return None
-
-        if last == 0:
-            return sweep_last()
-        iters = [iter(range(n))] + [None] * (last - 1)
-        level = 0
-        while level >= 0:
-            value = next(iters[level], None)
-            if value is None:
-                level -= 1
-                continue
-            env[level] = value
-            for op in outer[level]:
-                op()
-            if level < last - 1:
-                level += 1
-                iters[level] = iter(range(n))
-                continue
-            found = sweep_last()
-            if found is not None:
-                return found
-        return None
+        return self._sweep(lat.meet_table, lat.join_table, n, tuple(range(n)))
 
 
 def render_term(term, _level=0):

@@ -209,6 +209,23 @@ def test_product_command(capsys):
     assert len(parse_lattice_text(out)) == 25
 
 
+def test_product_work_cap(capsys):
+    # boolean-3 x boolean-3 has 64 elements, so tables of 64^2 = 4096 entries
+    args = ("product", "catalog:boolean-3", "catalog:boolean-3", "--max-work")
+    code, out, err = run(capsys, *args, "4095")
+    assert code == 3 and out == ""
+    assert "product tables of 4096 entries exceed the work cap 4095" in err
+    code, out, _ = run(capsys, *args, "4096")
+    assert code == 0
+    assert len(parse_lattice_text(out)) == 64
+    # 4096^2 entries: refused under the default cap before any table is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "product", "catalog:boolean-6", "catalog:boolean-6")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert f"product tables of {4096 ** 2} entries" in err
+
+
 def test_congruences_command(capsys):
     code, out, _ = run(capsys, "congruences", "catalog:n5")
     assert code == 0

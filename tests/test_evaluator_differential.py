@@ -137,7 +137,26 @@ def test_max_depth_identity_compiles_and_evaluates():
         kappa(lat, spec)
 
 
-@pytest.mark.parametrize("name", ["M", "J", "R", "n", "lambda", "__import__", "a0"])
+def test_wide_identities_sweep_and_evaluate():
+    # 22 variables: one nested loop per variable would exceed CPython's limit
+    # of 20 nested blocks, so the sweep would not compile
+    ident = parse_identity(" /\\ ".join(f"v{i}" for i in range(21)) + " = v21")
+    spec = ClassSpec((ident,), "wide")
+    for lat in (chain(2).lattice, n5().lattice):
+        # fails where v21 first leaves the bottom, so the naive sweep stops at once
+        assert IdentitySweep(ident).first_failure(lat) == naive_first_failure(lat, ident)
+        assert satisfies(lat, spec) == naive_satisfies(lat, spec)
+    assert kappa(chain(2).lattice, spec).num_blocks() == 1  # 2 fails, its one quotient holds
+    lat = n5().lattice
+    term = parse_term(" \\/ ".join(rf"(v{i} /\ v{i + 1})" for i in range(24)))
+    env = {f"v{i}": (3 * i) % len(lat) for i in range(25)}
+    assignment = {name: lat.elements[i] for name, i in env.items()}
+    assert eval_term(lat, term, assignment) == lat.elements[naive_eval(lat, term, env)]
+
+
+@pytest.mark.parametrize("name", ["M", "J", "R", "n", "lambda", "__import__", "a0", "s0", "s1",
+                                  "T0", "T1", "i", "itemgetter", "getitem", "product", "range",
+                                  "sweep"])
 def test_variable_names_are_not_code(name):
     lat = m3().lattice
     term = parse_term(rf"({name} \/ q) /\ {name}")

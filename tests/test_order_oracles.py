@@ -9,7 +9,7 @@ componentwise order, the quotient order, the induced order.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latquot import generated_congruence, product, quotient, restrict, sublattice_closure
+from latquot import Lattice, generated_congruence, product, quotient, restrict, sublattice_closure
 
 from test_kappa_differential import lattices
 
@@ -37,6 +37,9 @@ def test_from_covers_order_is_set_inclusion(lat):
     # lattices() names the set with bitmask s as "s<hex of s>"
     sets = [int(name[1:], 16) for name in lat.elements]
     assert_order_agrees(lat, lambda i, j: sets[i] & sets[j] == sets[i])
+    # from_covers hands over its own bitsets; they are the meet table's order
+    derived = Lattice(lat.elements, lat.meet_table, lat.join_table)
+    assert (lat.down, lat.up) == (derived.down, derived.up)
 
 
 @settings(max_examples=40, deadline=2000)

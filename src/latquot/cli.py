@@ -64,7 +64,12 @@ def load_class(args):
 def load_congruence(lat, text, args):
     if text in ("delta", "kappa"):
         return kappa(lat, load_class(args), max_work=args.max_work)
-    return congruence_from_blocks(lat, parse_congruence_text(text))
+    blocks = parse_congruence_text(text)
+    # the compatibility check tests each pair in a block against every element
+    work = sum(len(block) * (len(block) - 1) // 2 for block in blocks) * len(lat)
+    if work > args.max_work:
+        raise SizeLimitExceeded(f"block check of {work} steps exceeds the work cap {args.max_work}")
+    return congruence_from_blocks(lat, blocks)
 
 
 def _yesno(flag):
@@ -240,15 +245,18 @@ def _add_max_con(sub):
                      help="congruence enumeration cap (default 12)")
 
 
-def _add_class(sub):
+def _add_class(sub, blocks=False):
     # one class source: a named class and an identity file together is a usage error
     source = sub.add_mutually_exclusive_group()
     source.add_argument("--class", dest="klass", choices=sorted(BUILTIN_CLASSES),
                         help="built-in equational class (default distributive)")
     source.add_argument("--identities", metavar="FILE",
                         help="file of identities, one 'lhs = rhs' per line")
-    _add_max_work(sub, "cap on kappa's work: n^2 for the distributive class, else the "
-                       "identity sweep, the sum of n^k over the identities")
+    what = ("cap on kappa's work: n^2 for the distributive class, else the identity "
+            "sweep, the sum of n^k over the identities")
+    if blocks:
+        what += "; for explicit blocks, their check: the sum over blocks B of C(|B|, 2) n"
+    _add_max_work(sub, what)
 
 
 def _add_max_work(sub, what):
@@ -279,7 +287,7 @@ def build_parser():
     p = subs.add_parser("quotient", help="emit the quotient lattice as text")
     p.add_argument("lattice")
     p.add_argument("congruence", help="block notation, or the keyword delta/kappa")
-    _add_class(p)
+    _add_class(p, blocks=True)
     _add_json(p)
     p.set_defaults(func=cmd_quotient)
 
@@ -309,7 +317,7 @@ def build_parser():
     p.add_argument("lattice")
     p.add_argument("--highlight", metavar="CONG",
                    help="congruence (block notation or delta/kappa) to cluster")
-    _add_class(p)
+    _add_class(p, blocks=True)
     p.set_defaults(func=cmd_dot)
 
     p = subs.add_parser("catalog", help="list or dump the stock lattices")

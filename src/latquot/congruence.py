@@ -1,7 +1,9 @@
 """Congruences of finite lattices and quotient construction.
 
 A congruence is stored as a canonical partition: ``block_of[i]`` is the
-smallest index in the block of element ``i``.  It is computed from its
+smallest index in the block of element ``i``.  ``Congruence`` relabels its
+input so; the builders here make such labels and skip that pass
+(``_canonical``).  A congruence is computed from its
 D-closed set (Freese, "Computing congruences efficiently", Algebra
 Universalis 59, 2008; Freese, Jezek and Nation, *Free Lattices*, 1995,
 ch. 2).  A congruence theta is determined by the set
@@ -40,13 +42,18 @@ from .errors import (
 
 
 class Congruence:
-    """A meet/join-compatible partition of a lattice's carrier."""
+    """A meet/join-compatible partition of a lattice's carrier.  Any
+    hashable labels may name the blocks: each is relabelled by its least
+    index."""
 
     __slots__ = ("lattice_size", "block_of")
 
     def __init__(self, lattice_size, block_of):
+        least = {}
         self.lattice_size = lattice_size
-        self.block_of = tuple(block_of)
+        self.block_of = tuple(least.setdefault(label, i) for i, label in enumerate(block_of))
+        if len(self.block_of) != lattice_size:
+            raise MalformedPartition(f"{len(self.block_of)} labels for {lattice_size} elements")
 
     def __eq__(self, other):
         return (
@@ -82,12 +89,20 @@ class Congruence:
         return "".join(parts)
 
 
+def _canonical(lattice_size, block_of):
+    """A Congruence from labels that already are each block's least index,
+    taken as they are."""
+    theta = Congruence.__new__(Congruence)
+    theta.lattice_size, theta.block_of = lattice_size, tuple(block_of)
+    return theta
+
+
 def identity_congruence(lat):
-    return Congruence(len(lat), range(len(lat)))
+    return _canonical(len(lat), range(len(lat)))
 
 
 def full_congruence(lat):
-    return Congruence(len(lat), [0] * len(lat))
+    return _canonical(len(lat), [0] * len(lat))
 
 
 def congruence_from_blocks(lat, blocks):
@@ -110,7 +125,7 @@ def congruence_from_blocks(lat, blocks):
     if -1 in block_of:
         missing = lat.elements[block_of.index(-1)]
         raise MalformedPartition(f"element {missing} missing from partition")
-    theta = Congruence(n, block_of)
+    theta = _canonical(n, block_of)
     witness = congruence_witness(lat, theta)
     if witness is not None:
         raise NotACongruence(witness)
@@ -175,7 +190,7 @@ def _mask_congruence(lat, closed):
     block's minimum."""
     keep = ~closed
     rep = {}
-    return Congruence(len(lat), [rep.setdefault(mask & keep, x)
+    return _canonical(len(lat), [rep.setdefault(mask & keep, x)
                                  for x, mask in enumerate(lat.day().below)])
 
 
@@ -216,7 +231,7 @@ def cong_meet(t1, t2):
     for i in range(n):
         key = (t1.block_of[i], t2.block_of[i])
         block_of[i] = rep.setdefault(key, i)
-    return Congruence(n, block_of)
+    return _canonical(n, block_of)
 
 
 def cong_join(lat, t1, t2):
@@ -358,4 +373,4 @@ def push_congruence(qmap, phi):
     block_of = [0] * m
     for i in range(theta.lattice_size):
         block_of[qmap.index_map[i]] = qmap.index_map[phi.block_of[i]]
-    return Congruence(m, block_of)
+    return _canonical(m, block_of)

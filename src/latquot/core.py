@@ -16,6 +16,7 @@ constructions that derive new identifiers from old ones (``product``,
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -375,19 +376,38 @@ def is_distributive(lat):
     return distributive_failure(lat) is None
 
 
+def modular_failure(lat):
+    """None if ``lat`` is modular, else an index triple (a, b, c) with
+    a < c, a \\/ (b /\\ c) = a and (a \\/ b) /\\ c = c.
+
+    A finite lattice is modular iff it is upper and lower semimodular
+    (Birkhoff; Gratzer, *Lattice Theory: Foundation*, 2011): if a and b
+    cover u, a \\/ b covers both, and dually.  So each element's ordered
+    pairs of upper, then lower covers are scanned.  If a and b cover u and
+    c is the element of least index strictly between a and a \\/ b, then
+    u <= b /\\ c <= b, and b /\\ c != b (else a \\/ b <= c), so
+    b /\\ c = u <= a.  Dually, if u covers a and b and x lies strictly
+    between a /\\ b and a, then x \\/ b = u >= a, and the triple is
+    (x, b, a).  O(sum of the squared cover degrees) mask operations.
+    """
+    meet, join, up, down = lat.meet_table, lat.join_table, lat.up, lat.down
+    upper, lower = _cover_lists(lat)
+    for u in range(len(lat)):
+        for a, b in permutations(upper[u], 2):
+            between = up[a] & down[join[a][b]] & ~(1 << a | 1 << join[a][b])
+            if between:
+                return a, b, next(_bits(between))
+        for a, b in permutations(lower[u], 2):
+            between = up[meet[a][b]] & down[a] & ~(1 << a | 1 << meet[a][b])
+            if between:
+                return next(_bits(between)), b, a
+    return None
+
+
 def is_modular(lat):
-    """a \\/ (b /\\ c) = (a \\/ b) /\\ c for all a <= c and all b."""
-    n = len(lat)
-    meet, join = lat.meet_table, lat.join_table
-    for a in range(n):
-        for c in range(n):
-            if not lat.leq_i(a, c):
-                continue
-            ja = join[a]
-            for b in range(n):
-                if ja[meet[b][c]] != meet[ja[b]][c]:
-                    return False
-    return True
+    """True iff a \\/ (b /\\ c) = (a \\/ b) /\\ c for all a <= c and all b;
+    decided by ``modular_failure``."""
+    return modular_failure(lat) is None
 
 
 def sublattice_closure(lat, generators: Iterable):
@@ -425,14 +445,18 @@ def restrict(lat, members: Sequence):
     return Lattice([lat.elements[i] for i in idxs], meet, join)
 
 
-def _refine_signatures(lat, rounds=3):
-    n = len(lat)
-    covers = lat.covers_i()
-    upper = [[] for _ in range(n)]
-    lower = [[] for _ in range(n)]
-    for i, j in covers:
+def _cover_lists(lat):
+    """Each element's upper covers and lower covers, as lists of indices."""
+    upper, lower = [[] for _ in lat.elements], [[] for _ in lat.elements]
+    for i, j in lat.covers_i():
         upper[i].append(j)
         lower[j].append(i)
+    return upper, lower
+
+
+def _refine_signatures(lat, rounds=3):
+    n = len(lat)
+    upper, lower = _cover_lists(lat)
     sig = [
         (bin(lat.down[i]).count("1"), bin(lat.up[i]).count("1"), len(lower[i]), len(upper[i]))
         for i in range(n)

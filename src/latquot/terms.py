@@ -36,32 +36,43 @@ class Join:
 Term = Union[Var, Meet, Join]
 
 
+def _fold(term, leaf, node):
+    """Fold a term bottom-up with an explicit stack, so any depth works:
+    ``leaf(name)`` at each variable, and ``node(is_join, left, right)`` at
+    each meet (``is_join`` 0) or join (1) on its operands' values.  Leaves
+    are reached left to right."""
+    values = []
+    stack = [(term, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if isinstance(t, Var):
+            values.append(leaf(t.name))
+        elif expanded:
+            right = values.pop()
+            values.append(node(int(isinstance(t, Join)), values.pop(), right))
+        else:
+            stack.extend(((t, True), (t.right, False), (t.left, False)))
+    return values.pop()
+
+
 def variables(term):
     """Variable names of a term, in first-occurrence order."""
-    out = []
-
-    def walk(t):
-        if isinstance(t, Var):
-            if t.name not in out:
-                out.append(t.name)
-        else:
-            walk(t.left)
-            walk(t.right)
-
-    walk(term)
-    return out
+    names = {}
+    _fold(term, names.setdefault, lambda is_join, left, right: None)
+    return list(names)
 
 
 def eval_term(lat, term, assignment):
-    """Evaluate a term in ``lat`` under a name -> identifier assignment."""
-    program = _Program([term], variables(term))
-    point = []
-    for name in program.names:
-        try:
-            point.append(lat.index(assignment[name]))
-        except KeyError:
-            raise UnboundVariable(f"variable {name!r} unbound") from None
-    return lat.elements[program.evaluate(lat, point)[0]]
+    """Evaluate a term in ``lat`` under a name -> identifier assignment:
+    one table lookup per operation, at that one point."""
+    tables = lat.meet_table, lat.join_table
+
+    def leaf(name):
+        if name not in assignment:
+            raise UnboundVariable(f"variable {name!r} unbound")
+        return lat.index(assignment[name])
+
+    return lat.elements[_fold(term, leaf, lambda is_join, a, b: tables[is_join][a][b])]
 
 
 # Slot operations of a lowered term, each as its line of a generated sweep
@@ -90,11 +101,10 @@ class _Program:
 
     ``levels[i]`` lists the operations run whenever variable ``i`` takes a
     new value; ``outputs`` are the slots of the lowered terms.  The program
-    holds no tables, so one program serves any number of lattices.  Bound to
-    a lattice (``_bind``), each operation is a closure; an ``IdentitySweep``
-    instead runs the program as one generated function.  Either way the
-    per-element work runs in C builtins: vectors are tuples, like the table
-    rows they are gathered from.
+    holds no tables, so one program serves any number of lattices.  Its one
+    runner is ``IdentitySweep``, which turns it into one generated function
+    whose per-element work runs in C builtins: vectors are tuples, like the
+    table rows they are gathered from.
     """
 
     def __init__(self, terms, names):
@@ -142,81 +152,15 @@ class _Program:
 
         self.outputs = []
         for term in terms:
-            # post-order walk with an explicit stack
-            values = []
-            stack = [(term, False)]
-            while stack:
-                node, expanded = stack.pop()
-                if isinstance(node, Var):
-                    values.append((position[node.name], position[node.name]))
-                elif expanded:
-                    right = values.pop()
-                    left = values.pop()
-                    values.append(combine(int(isinstance(node, Join)), left, right))
-                else:
-                    stack.extend(((node, True), (node.right, False), (node.left, False)))
-            out, level = values.pop()
+            out, level = _fold(term, lambda name: (position[name], position[name]), combine)
             if level != inner:
                 out = emit(inner, _FILL, None, out, None)
             self.outputs.append(out)
 
-    def _bind(self, tables, env):
-        """The operations as closures over ``tables`` and ``env``, by level.
-
-        The tables are taken as they are, tuples of row tuples, and every
-        vector is built as a tuple in C: a row gathered at a vector's
-        entries by ``itemgetter``, two vectors paired by
-        ``map(getitem, ...)``.  A gather of one entry returns the entry
-        itself, not a 1-tuple, so the one-element lattice is left to the
-        callers.
-        """
-        n = len(tables[0])
-
-        def closure(code, out, table, a, b):
-            rows = tables[table] if table is not None else None
-            if code == _ROW:
-                def op():
-                    env[out] = rows[env[a]]
-            elif code == _AT:
-                def op():
-                    env[out] = env[a][env[b]]
-            elif code == _AT2:
-                def op():
-                    env[out] = rows[env[a]][env[b]]
-            elif code == _MAP:
-                def op():
-                    env[out] = itemgetter(*env[b])(env[a])
-            elif code == _ZIP:
-                def op():
-                    env[out] = tuple(map(getitem, itemgetter(*env[a])(rows), env[b]))
-            elif code == _TZIP:
-                def op():
-                    env[out] = tuple(map(getitem, rows, env[b]))
-            else:
-                def op():
-                    env[out] = (env[a],) * n
-            return op
-
-        return [[closure(*operation) for operation in ops] for ops in self.levels]
-
-    def evaluate(self, lat, point):
-        """The outputs' values (indices) with variable ``i`` at ``point[i]``:
-        one pass of the innermost variable over its range, read at
-        ``point[-1]``.  In the one-element lattice every term is its one
-        element."""
-        if len(lat) == 1:
-            return [0] * len(self.outputs)
-        env = list(point[:-1]) + [range(len(lat))] + [None] * (self.nslots - len(point))
-        for ops in self._bind((lat.meet_table, lat.join_table), env):
-            for op in ops:
-                op()
-        return [env[slot][point[-1]] for slot in self.outputs]
-
 
 def sweep_order(identity):
     """Variables of an identity: the lhs's in order, then the rhs's new ones."""
-    names = variables(identity.lhs)
-    return names + [v for v in variables(identity.rhs) if v not in names]
+    return variables(Meet(identity.lhs, identity.rhs))
 
 
 class IdentitySweep:
@@ -279,15 +223,17 @@ class IdentitySweep:
         return self._sweep(lat.meet_table, lat.join_table, n, tuple(range(n)))
 
 
-def render_term(term, _level=0):
-    """Pretty-print; parse(render(t)) == t."""
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, Meet):
-        s = f"{render_term(term.left, 1)} /\\ {render_term(term.right, 2)}"
-        return f"({s})" if _level >= 2 else s
-    s = f"{render_term(term.left, 0)} \\/ {render_term(term.right, 1)}"
-    return f"({s})" if _level >= 1 else s
+def render_term(term):
+    """Pretty-print; parse(render(t)) == t.  An operand is parenthesised
+    when it binds more loosely than its operator, or, on the right, as
+    loosely: precedence is join 0, meet 1, variable 2."""
+    def node(is_join, left, right):
+        prec = 1 - is_join
+        ltext = left[0] if left[1] >= prec else f"({left[0]})"
+        rtext = right[0] if right[1] > prec else f"({right[0]})"
+        return ltext + (" \\/ " if is_join else " /\\ ") + rtext, prec
+
+    return _fold(term, lambda name: (name, 2), node)[0]
 
 
 _TOKEN = re.compile(r"\s*(/\\|\\/|\(|\)|[A-Za-z_][A-Za-z0-9_]*)")
@@ -310,9 +256,10 @@ def _tokenize(text):
     return tokens
 
 
-# Deepest parenthesis nesting and deepest operator nesting a term may have.
-# Terms are walked recursively, so this keeps every walk far below Python's
-# recursion limit.
+# Deepest parenthesis nesting and deepest operator nesting a parsed term may
+# have.  The library's own walks (``_fold``) take any depth, but the
+# dataclass ``__eq__``, ``__hash__`` and ``__repr__`` of Var, Meet and Join
+# recurse, so this keeps them far below Python's recursion limit.
 MAX_DEPTH = 100
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .catalog import chain, m3, n5
 from .congruence import (
-    Congruence,
+    _canonical,
     _closed_set,
     _congruence_closure,
     _mask_congruence,
@@ -310,7 +310,7 @@ def _product_congruence(l1, l2, t1, t2):
     for i in range(len(l1)):
         for j in range(n2):
             block_of.append(t1.block_of[i] * n2 + t2.block_of[j])
-    return Congruence(len(l1) * n2, block_of)
+    return _canonical(len(l1) * n2, block_of)
 
 
 def verify_theorem3(l1, l2, spec, max_size=12):

@@ -139,6 +139,25 @@ def test_max_work_flag(capsys):
     assert code == 0
 
 
+def test_explicit_blocks_are_charged_their_check(capsys):
+    # {a,b} is one pair, checked against each of n5's 5 elements: 5 steps
+    blocks = "{0}{a,b}{c}{1}"
+    _, want, _ = run(capsys, "quotient", "catalog:n5", blocks)
+    code, out, err = run(capsys, "quotient", "catalog:n5", blocks, "--max-work", "4")
+    assert code == 3 and out == ""
+    assert "block check of 5 steps exceeds the work cap 4" in err
+    code, out, _ = run(capsys, "quotient", "catalog:n5", blocks, "--max-work", "5")
+    assert code == 0 and out == want
+    _, want, _ = run(capsys, "dot", "catalog:n5", "--highlight", blocks)
+    code, out, _ = run(capsys, "dot", "catalog:n5", "--highlight", blocks, "--max-work", "4")
+    assert code == 3 and out == ""
+    code, out, _ = run(capsys, "dot", "catalog:n5", "--highlight", blocks, "--max-work", "5")
+    assert code == 0 and out == want
+    # singleton blocks charge nothing
+    code, _, _ = run(capsys, "quotient", "catalog:n5", "{0}{a}{b}{c}{1}", "--max-work", "0")
+    assert code == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["delta", "catalog:n5", "--max-work", "-1"],
     ["congruences", "catalog:n5", "--max-con", "-1"],

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latquot import (
     Congruence,
@@ -27,6 +29,7 @@ from latquot.errors import (
 )
 
 from conftest import all_partitions
+from test_kappa_differential import lattices
 
 
 def brute_force_congruences(lat):
@@ -64,6 +67,44 @@ def test_malformed_partitions():
         is_congruence(lat, [["a", "b"], ["0"], ["c"]])  # missing 1
     with pytest.raises(MalformedPartition):
         is_congruence(lat, [["a", "b"], ["b"], ["0"], ["c"], ["1"]])
+
+
+def test_congruence_relabels_each_block_by_its_least_index():
+    lat = n5().lattice  # 0, a, b, c, 1
+    theta = Congruence(5, [3, 1, 1, 0, 4])  # {0}{a,b}{c}{1} under other labels
+    assert theta.block_of == (0, 1, 1, 3, 4)
+    assert theta == congruence_from_blocks(lat, [["0"], ["a", "b"], ["c"], ["1"]])
+    assert theta in all_congruences(lat)
+    assert cong_join(lat, theta, identity_congruence(lat)).render(lat) == "{0}{a,b}{c}{1}"
+    assert quotient(lat, theta).apply("0") == "[0]"
+    with pytest.raises(MalformedPartition):
+        Congruence(5, [0, 1, 1, 3])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_relabelled_congruence_is_the_same_congruence(data):
+    lat = data.draw(lattices())
+    n = len(lat)
+    cons = all_congruences(lat)
+    theta, other = data.draw(st.sampled_from(cons)), data.draw(st.sampled_from(cons))
+    injection = data.draw(st.lists(st.integers(-99, 99), min_size=n, max_size=n, unique=True))
+
+    def relabel(con):
+        return Congruence(n, [injection[r] for r in con.block_of])
+
+    moved = relabel(theta)
+    assert moved == theta and hash(moved) == hash(theta)
+    assert moved.render(lat) == theta.render(lat)
+    assert cong_join(lat, moved, other) == cong_join(lat, theta, other)
+    assert cong_join(lat, other, moved) == cong_join(lat, other, theta)
+    by_moved, by_theta = quotient(lat, moved), quotient(lat, theta)
+    assert by_moved.index_map == by_theta.index_map
+    assert by_moved.target.elements == by_theta.target.elements
+    assert by_moved.target.meet_table == by_theta.target.meet_table
+    assert by_moved.target.join_table == by_theta.target.join_table
+    phi = cong_join(lat, theta, other)
+    assert push_congruence(by_moved, relabel(phi)) == push_congruence(by_theta, phi)
 
 
 def test_principal_congruence_pentagon():

@@ -1,8 +1,9 @@
-"""The compiled identity evaluator against a naive recursive interpreter.
+"""The compiled identity evaluator, and ``eval_term``, against a naive
+recursive interpreter.
 
-``satisfies`` and ``eval_term`` both run through the compiler in
-``latquot.terms``; here every result is recomputed by walking the term once
-per assignment, the way the evaluator worked before it was compiled.
+``satisfies`` runs through the compiler in ``latquot.terms``, and
+``eval_term`` through that module's iterative fold; here every result is
+recomputed by walking the term recursively once per assignment.
 """
 
 import itertools

@@ -5,15 +5,19 @@ from hypothesis import strategies as st
 from latquot import (
     DISTRIBUTIVE,
     MODULAR,
+    ClassSpec,
+    Identity,
     Join,
     Meet,
     Var,
     chain,
     eval_term,
     m3,
+    n5,
     parse_identity_file,
     parse_term,
     render_term,
+    satisfies,
 )
 from latquot.errors import TermSyntaxError, UnboundVariable
 from latquot.terms import MAX_DEPTH, variables
@@ -66,6 +70,23 @@ def test_nesting_at_the_limit_parses():
     chain_term = parse_term("x" + r" /\ y" * MAX_DEPTH)
     assert variables(chain_term) == ["x", "y"]
     assert parse_term(render_term(chain_term)) == chain_term
+
+
+def test_terms_built_in_code_take_any_depth():
+    # the parser caps its terms at MAX_DEPTH; a term built with Meet has no cap,
+    # and the walks over it must not recurse
+    term = Var("x")
+    for _ in range(3000):
+        term = Meet(term, Var("y"))
+    x_and_y = Meet(Var("x"), Var("y"))
+    lat = n5().lattice
+    assert variables(term) == ["x", "y"]
+    for x in lat.elements:
+        for y in lat.elements:
+            env = {"x": x, "y": y}
+            assert eval_term(lat, term, env) == eval_term(lat, x_and_y, env)
+    assert satisfies(lat, ClassSpec((Identity(term, x_and_y),))) is True
+    assert render_term(term) == "x" + r" /\ y" * 3000
 
 
 names = st.sampled_from(["x", "y", "z", "w"])

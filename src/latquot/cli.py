@@ -245,18 +245,19 @@ def _add_max_con(sub):
                      help="congruence enumeration cap (default 12)")
 
 
-def _add_class(sub, blocks=False):
+_KAPPA_WORK = ("cap on kappa's work: n^2 for the distributive class, else the identity "
+               "sweep, the sum of n^k over the identities")
+_BLOCKS_WORK = _KAPPA_WORK + "; for explicit blocks, their check: the sum over blocks B of C(|B|, 2) n"
+
+
+def _add_class(sub, work_help=_KAPPA_WORK):
     # one class source: a named class and an identity file together is a usage error
     source = sub.add_mutually_exclusive_group()
     source.add_argument("--class", dest="klass", choices=sorted(BUILTIN_CLASSES),
                         help="built-in equational class (default distributive)")
     source.add_argument("--identities", metavar="FILE",
                         help="file of identities, one 'lhs = rhs' per line")
-    what = ("cap on kappa's work: n^2 for the distributive class, else the identity "
-            "sweep, the sum of n^k over the identities")
-    if blocks:
-        what += "; for explicit blocks, their check: the sum over blocks B of C(|B|, 2) n"
-    _add_max_work(sub, what)
+    _add_max_work(sub, work_help)
 
 
 def _add_max_work(sub, what):
@@ -287,7 +288,7 @@ def build_parser():
     p = subs.add_parser("quotient", help="emit the quotient lattice as text")
     p.add_argument("lattice")
     p.add_argument("congruence", help="block notation, or the keyword delta/kappa")
-    _add_class(p, blocks=True)
+    _add_class(p, _BLOCKS_WORK)
     _add_json(p)
     p.set_defaults(func=cmd_quotient)
 
@@ -317,7 +318,7 @@ def build_parser():
     p.add_argument("lattice")
     p.add_argument("--highlight", metavar="CONG",
                    help="congruence (block notation or delta/kappa) to cluster")
-    _add_class(p, blocks=True)
+    _add_class(p, _BLOCKS_WORK)
     p.set_defaults(func=cmd_dot)
 
     p = subs.add_parser("catalog", help="list or dump the stock lattices")

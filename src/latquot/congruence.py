@@ -2,8 +2,8 @@
 
 A congruence is stored as a canonical partition: ``block_of[i]`` is the
 smallest index in the block of element ``i``.  ``Congruence`` relabels its
-input so; the builders here make such labels and skip that pass
-(``_canonical``).  A congruence is computed from its
+input so, and every builder here hands it raw labels: a key per element
+whose equal keys make one block.  A congruence is computed from its
 D-closed set (Freese, "Computing congruences efficiently", Algebra
 Universalis 59, 2008; Freese, Jezek and Nation, *Free Lattices*, 1995,
 ch. 2).  A congruence theta is determined by the set
@@ -31,6 +31,8 @@ itself.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .core import Lattice, _bits
 from .errors import (
     LatticeMismatch,
@@ -51,7 +53,7 @@ class Congruence:
     def __init__(self, lattice_size, block_of):
         least = {}
         self.lattice_size = lattice_size
-        self.block_of = tuple(least.setdefault(label, i) for i, label in enumerate(block_of))
+        self.block_of = tuple([least.setdefault(label, i) for i, label in enumerate(block_of)])
         if len(self.block_of) != lattice_size:
             raise MalformedPartition(f"{len(self.block_of)} labels for {lattice_size} elements")
 
@@ -89,20 +91,12 @@ class Congruence:
         return "".join(parts)
 
 
-def _canonical(lattice_size, block_of):
-    """A Congruence from labels that already are each block's least index,
-    taken as they are."""
-    theta = Congruence.__new__(Congruence)
-    theta.lattice_size, theta.block_of = lattice_size, tuple(block_of)
-    return theta
-
-
 def identity_congruence(lat):
-    return _canonical(len(lat), range(len(lat)))
+    return Congruence(len(lat), range(len(lat)))
 
 
 def full_congruence(lat):
-    return _canonical(len(lat), [0] * len(lat))
+    return Congruence(len(lat), [0] * len(lat))
 
 
 def congruence_from_blocks(lat, blocks):
@@ -113,19 +107,18 @@ def congruence_from_blocks(lat, blocks):
     """
     n = len(lat)
     block_of = [-1] * n
-    for block in blocks:
+    for k, block in enumerate(blocks):
         idxs = [lat.index(x) for x in block]
         if not idxs:
             raise MalformedPartition("empty block")
-        rep = min(idxs)
         for i in idxs:
             if block_of[i] != -1:
                 raise MalformedPartition(f"element {lat.elements[i]} appears twice")
-            block_of[i] = rep
+            block_of[i] = k
     if -1 in block_of:
         missing = lat.elements[block_of.index(-1)]
         raise MalformedPartition(f"element {missing} missing from partition")
-    theta = _canonical(n, block_of)
+    theta = Congruence(n, block_of)
     witness = congruence_witness(lat, theta)
     if witness is not None:
         raise NotACongruence(witness)
@@ -133,12 +126,17 @@ def congruence_from_blocks(lat, blocks):
 
 
 def congruence_witness(lat, theta):
-    """None if theta is compatible; else a witness (x, y, c, op)."""
+    """None if theta is compatible; else a witness (x, y, c, op).
+
+    It tests the C(|B|, 2) pairs of each block B against every c, blocks in
+    order of their minima, and returns the witness a scan of all pairs
+    i < j in index order would: the first separated pair of either scan
+    starts at its block's minimum m, since a c that separates i and j also
+    separates m from i or from j.
+    """
     n = len(lat)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not theta.same(i, j):
-                continue
+    for block in theta.blocks():
+        for i, j in combinations(block, 2):
             for c in range(n):
                 if not theta.same(lat.meet_table[i][c], lat.meet_table[j][c]):
                     return (lat.elements[i], lat.elements[j], lat.elements[c], "meet")
@@ -185,13 +183,9 @@ def _congruence_closure(lat, closed, pairs):
 
 def _mask_congruence(lat, closed):
     """The congruence of the D-closed set ``closed``: x and y share a block
-    iff the join-irreducibles below them agree outside ``closed``.  Each
-    element is labelled by the least index with its key, which is its
-    block's minimum."""
+    iff the join-irreducibles below them agree outside ``closed``."""
     keep = ~closed
-    rep = {}
-    return _canonical(len(lat), [rep.setdefault(mask & keep, x)
-                                 for x, mask in enumerate(lat.day().below)])
+    return Congruence(len(lat), [mask & keep for mask in lat.day().below])
 
 
 def _closed_set(lat, theta):
@@ -222,16 +216,10 @@ def _check_same_lattice(t1, t2):
 
 
 def cong_meet(t1, t2):
-    """Common refinement (intersection of the relations).  Each element is
-    labelled by the least index with its pair of labels: its block's minimum."""
+    """Common refinement (intersection of the relations): each element is
+    keyed by its pair of labels."""
     _check_same_lattice(t1, t2)
-    n = t1.lattice_size
-    rep = {}
-    block_of = [0] * n
-    for i in range(n):
-        key = (t1.block_of[i], t2.block_of[i])
-        block_of[i] = rep.setdefault(key, i)
-    return _canonical(n, block_of)
+    return Congruence(t1.lattice_size, zip(t1.block_of, t2.block_of))
 
 
 def cong_join(lat, t1, t2):
@@ -360,17 +348,14 @@ def quotient(lat, theta):
 def push_congruence(qmap, phi):
     """The congruence phi/theta on L/theta, for theta <= phi.
 
-    Each element is labelled by the image of its phi-block's minimum,
-    which is the least index in its block, as quotient blocks are ordered
-    by their minima.
+    Each element is labelled by phi's label of the elements that map to it.
     """
     theta = qmap.theta
     if phi.lattice_size != theta.lattice_size:
         raise LatticeMismatch("congruence is for a different lattice")
     if not leq_congruence(theta, phi):
         raise NotAboveKernel("congruence does not contain the quotient kernel")
-    m = len(qmap.target)
-    block_of = [0] * m
-    for i in range(theta.lattice_size):
-        block_of[qmap.index_map[i]] = qmap.index_map[phi.block_of[i]]
-    return _canonical(m, block_of)
+    block_of = [0] * len(qmap.target)
+    for image, label in zip(qmap.index_map, phi.block_of):
+        block_of[image] = label
+    return Congruence(len(block_of), block_of)

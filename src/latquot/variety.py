@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .catalog import chain, m3, n5
 from .congruence import (
-    _canonical,
+    Congruence,
     _closed_set,
     _congruence_closure,
     _mask_congruence,
@@ -305,12 +305,7 @@ def verify_theorem2(lat, theta, spec):
 
 def _product_congruence(l1, l2, t1, t2):
     """The congruence t1 x t2 on product(l1, l2) (same element layout)."""
-    n2 = len(l2)
-    block_of = []
-    for i in range(len(l1)):
-        for j in range(n2):
-            block_of.append(t1.block_of[i] * n2 + t2.block_of[j])
-    return _canonical(len(l1) * n2, block_of)
+    return Congruence(len(l1) * len(l2), itertools.product(t1.block_of, t2.block_of))
 
 
 def verify_theorem3(l1, l2, spec, max_size=12):

@@ -44,11 +44,10 @@ def drawn_congruence(lat, data):
 
 
 def drawn_partition(lat, data):
-    """A canonical partition from drawn labels; rarely a congruence."""
+    """A partition from drawn labels; rarely a congruence."""
     labels = data.draw(st.lists(st.integers(min_value=0, max_value=3),
                                 min_size=len(lat), max_size=len(lat)))
-    first = {}
-    return Congruence(len(lat), [first.setdefault(s, i) for i, s in enumerate(labels)])
+    return Congruence(len(lat), labels)
 
 
 def refines(fine, coarse):

@@ -231,6 +231,29 @@ def test_every_result_is_compatible(small_catalog):
             assert congruence_witness(lat, theta) is None
 
 
+def all_pairs_witness(lat, theta):
+    """The first separated pair over all pairs i < j in index order, with
+    c scanned meet before join: the order the CLI's error messages follow."""
+    n, same = len(lat), theta.same
+    for i in range(n):
+        for j in range(i + 1, n):
+            if same(i, j):
+                for c in range(n):
+                    for table, op in ((lat.meet_table, "meet"), (lat.join_table, "join")):
+                        if not same(table[i][c], table[j][c]):
+                            return (lat.elements[i], lat.elements[j], lat.elements[c], op)
+    return None
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_witness_scans_block_pairs_in_the_all_pairs_order(data):
+    lat = data.draw(lattices())
+    theta = Congruence(len(lat), data.draw(st.lists(st.integers(0, 3), min_size=len(lat),
+                                                    max_size=len(lat))))
+    assert congruence_witness(lat, theta) == all_pairs_witness(lat, theta)
+
+
 def test_congruence_lattice_axioms(small_catalog):
     # Con(L) under refinement with (cong_meet, cong_join) is a lattice
     for named in small_catalog:

@@ -21,7 +21,7 @@ from .congruence import (
     join_irreducible_congruences,
     quotient,
 )
-from .core import is_distributive, is_modular, product
+from .core import _cover_lists, _modular_failure, is_distributive, product
 from .errors import LatticeError, SizeLimitExceeded
 from .terms import BUILTIN_CLASSES, parse_identity_file
 from .textfmt import dump_lattice_text, parse_congruence_text, parse_lattice_text, to_dot
@@ -87,8 +87,9 @@ def _emit(args, text_lines, payload):
 def cmd_info(args):
     lat = load_lattice(args.lattice)
     dist = is_distributive(lat)
-    mod = is_modular(lat)
-    covers = len(lat.covers_i())
+    cover_lists = _cover_lists(lat)  # the cover pairs, built once for both uses
+    mod = _modular_failure(lat, *cover_lists) is None
+    covers = sum(map(len, cover_lists[0]))
     try:
         con_size = len(all_congruences(lat, max_size=args.max_con))
     except SizeLimitExceeded:
@@ -178,6 +179,8 @@ def cmd_check(args):
         if not args.other:
             raise LatticeError("check --theorem 3 needs two lattices")
         other = load_lattice(args.other)
+    elif args.other:
+        raise LatticeError(f"check --theorem {args.theorem} takes one lattice")
     # the largest lattice kappa sweeps: L, or the product for theorem 3
     check_work(len(lat) * (len(other) if other else 1), spec, args.max_work)
     reports = []

@@ -390,8 +390,12 @@ def modular_failure(lat):
     between a /\\ b and a, then x \\/ b = u >= a, and the triple is
     (x, b, a).  O(sum of the squared cover degrees) mask operations.
     """
+    return _modular_failure(lat, *_cover_lists(lat))
+
+
+def _modular_failure(lat, upper, lower):
+    """``modular_failure`` given the cover lists (``_cover_lists``)."""
     meet, join, up, down = lat.meet_table, lat.join_table, lat.up, lat.down
-    upper, lower = _cover_lists(lat)
     for u in range(len(lat)):
         for a, b in permutations(upper[u], 2):
             between = up[a] & down[join[a][b]] & ~(1 << a | 1 << join[a][b])

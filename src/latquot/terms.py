@@ -9,26 +9,52 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import count, product
 from operator import getitem, itemgetter
 from typing import Union
 
 from .errors import TermSyntaxError, UnboundVariable
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """Equality, hashing and ``repr`` of Var, Meet and Join, by one walk with
+    an explicit stack, so a term of any depth works.  The ``repr`` is the
+    dataclass one, and it spells out the whole tree: two terms of one type
+    are equal, and hash alike, exactly when their reprs are."""
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif isinstance(t, Var):
+                out.append(f"{type(t).__qualname__}(name={t.name!r})")
+            else:
+                out.append(f"{type(t).__qualname__}(left=")
+                stack += ")", t.right, ", right=", t.left
+        return "".join(out)
+
+    def __eq__(self, other):
+        return repr(self) == repr(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(repr(self))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Meet:
+@dataclass(frozen=True, eq=False, repr=False)
+class Meet(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Join:
+@dataclass(frozen=True, eq=False, repr=False)
+class Join(_Node):
     left: "Term"
     right: "Term"
 
@@ -88,39 +114,56 @@ _TZIP = "s{out} = tuple(map(getitem, T{table}, s{b}))"  # the innermost variable
 _FILL = "s{out} = (s{a},) * n"  # vector: s{a} at every entry
 
 
-class _Program:
-    """Terms lowered to a sweep of slot operations, each hoisted to the loop
-    level of the deepest variable it depends on.
+def sweep_order(identity):
+    """Variables of an identity: the lhs's in order, then the rhs's new ones."""
+    return variables(Meet(identity.lhs, identity.rhs))
 
-    ``names`` fixes the loop order: variable ``names[i]`` lives in slot
-    ``i`` and is the loop at level ``i``.  Subterms are shared.  A table
-    row ``M[x]`` is fetched once, at the level where ``x`` is known, and
-    the innermost variable runs as one pass over its whole range, so every
-    subterm that depends on it, and every output, is a vector, and a row
-    applied to the innermost variable itself is just that row.
 
-    ``levels[i]`` lists the operations run whenever variable ``i`` takes a
-    new value; ``outputs`` are the slots of the lowered terms.  The program
-    holds no tables, so one program serves any number of lattices.  Its one
-    runner is ``IdentitySweep``, which turns it into one generated function
-    whose per-element work runs in C builtins: vectors are tuples, like the
-    table rows they are gathered from.
+class IdentitySweep:
+    """An identity compiled for sweeping every assignment of a lattice.
+
+    The variables are swept in ``names`` order (``sweep_order``): variable
+    ``names[i]`` lives in slot ``i`` and is the loop at level ``i``, the
+    first outermost.  Both sides are lowered to slot operations, each
+    hoisted to the level of the deepest variable it depends on, and
+    subterms are shared.  A table row ``M[x]`` is fetched once, at the
+    level where ``x`` is known, and the innermost variable runs as one pass
+    over its whole range, so every subterm that depends on it, and each
+    side, is a vector, and a row applied to the innermost variable itself
+    is just that row.  Vectors are tuples, like the table rows they are
+    gathered from, so the per-element work runs in C builtins.
+
+    The sweep holds no tables, so one compilation serves every lattice it
+    is run on, given its meet and join tables as they are, without a copy.
+    The last outer variable is a flat loop that runs its own and the
+    innermost operations and compares the two sides' vectors; one
+    ``itertools.product`` loop runs the variables above it, and all their
+    operations.  So the function nests two loops for any number of
+    variables, far below CPython's limit of 20 nested blocks.
     """
 
-    def __init__(self, terms, names):
-        self.names = list(names)
+    def __init__(self, identity):
+        self.identity = identity
+        self.names = sweep_order(identity)
+
+    @cached_property
+    def _sweep(self):
+        """The lowered identity as the source of one function
+        ``sweep(T0, T1, n, R)``, compiled on first use and kept.  Only
+        integers (slot and table numbers, ``k``) and fixed names reach the
+        source, never a variable name of the identity; it runs in a fresh
+        namespace that holds only the three helpers it calls."""
         k = len(self.names)
-        position = {name: i for i, name in enumerate(self.names)}
         inner = k - 1
-        self.levels = [[] for _ in range(k)]
-        self.nslots = k
+        position = {name: i for i, name in enumerate(self.names)}
+        levels = [[] for _ in range(k)]  # lines run whenever variable i takes a new value
+        slots = count(k)
         nodes = {}  # (table, a, level of a, b, level of b) -> (slot, level)
         rows = {}  # (table, a) -> slot of the row table[a]
 
-        def emit(level, code, table, a, b):
-            out = self.nslots
-            self.nslots += 1
-            self.levels[level].append((code, out, table, a, b))
+        def emit(level, op, table, a, b):
+            out = next(slots)
+            levels[level].append(op.format(out=out, table=table, a=a, b=b))
             return out
 
         def combine(table, left, right):
@@ -150,59 +193,22 @@ class _Program:
             nodes[key] = (out, lb)
             return nodes[key]
 
-        self.outputs = []
-        for term in terms:
+        def lower(term):
             out, level = _fold(term, lambda name: (position[name], position[name]), combine)
-            if level != inner:
-                out = emit(inner, _FILL, None, out, None)
-            self.outputs.append(out)
+            return out if level == inner else emit(inner, _FILL, None, out, None)
 
-
-def sweep_order(identity):
-    """Variables of an identity: the lhs's in order, then the rhs's new ones."""
-    return variables(Meet(identity.lhs, identity.rhs))
-
-
-class IdentitySweep:
-    """An identity compiled for sweeping every assignment of a lattice.
-
-    The variables are swept in ``names`` order (``sweep_order``), the first
-    variable outermost.  The program is independent of the lattice, so one
-    compilation serves every lattice it is run on, given its meet and join
-    tables as they are, without a copy.  The innermost variable is a whole
-    vector; the last outer one is a flat loop that runs its own and the
-    innermost operations and compares the two sides' vectors; one
-    ``itertools.product`` loop runs the variables above it, and all their
-    operations.  So the function nests two loops for any number of
-    variables, far below CPython's limit of 20 nested blocks.
-    """
-
-    def __init__(self, identity):
-        self.identity = identity
-        self.names = sweep_order(identity)
-        self._program = _Program((identity.lhs, identity.rhs), self.names)
-
-    @cached_property
-    def _sweep(self):
-        """The program as the source of one function ``sweep(T0, T1, n, R)``,
-        compiled on first use and kept.  Only integers (slot and table
-        numbers, ``k``) and fixed names reach the source, never a variable
-        name of the identity; it runs in a fresh namespace that holds only
-        the three helpers it calls."""
-        program, k = self._program, len(self.names)
-        lhs, rhs = program.outputs
+        lhs, rhs = lower(self.identity.lhs), lower(self.identity.rhs)
         lines = ["def sweep(T0, T1, n, R):", f"    s{k - 1} = R"]
         indent = "    "
         if k > 2:
             outer = "".join(f"s{v}, " for v in range(k - 2))
             lines.append(f"    for {outer}in product(R, repeat={k - 2}):")
             indent = "        "
-        for level, ops in enumerate(program.levels):
+        for level, ops in enumerate(levels):
             if level == k - 2:
                 lines.append(f"{indent}for s{level} in R:")
                 indent += "    "
-            lines += [indent + op.format(out=out, table=table, a=a, b=b)
-                      for op, out, table, a, b in ops]
+            lines += [indent + op for op in ops]
         point = "".join(f"s{v}, " for v in range(k - 1))
         lines += [f"{indent}if s{lhs} != s{rhs}:",
                   f"{indent}    for i in R:",
@@ -256,15 +262,14 @@ def _tokenize(text):
     return tokens
 
 
-# Deepest parenthesis nesting and deepest operator nesting a parsed term may
-# have.  The library's own walks (``_fold``) take any depth, but the
-# dataclass ``__eq__``, ``__hash__`` and ``__repr__`` of Var, Meet and Join
-# recurse, so this keeps them far below Python's recursion limit.
+# Deepest parenthesis nesting a parsed term may have.  The parser recurses
+# once per parenthesis, so this keeps it far below Python's recursion limit
+# on outside input; the operators of a term nest to any depth.
 MAX_DEPTH = 100
 
 
 class _Parser:
-    """Recursive descent; each rule returns (node, operator depth)."""
+    """Recursive descent, one level per parenthesis."""
 
     def __init__(self, text):
         self.text = text
@@ -283,34 +288,25 @@ class _Parser:
     def here(self):
         return self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.text)
 
-    def too_deep(self):
-        return TermSyntaxError(f"term nested deeper than {MAX_DEPTH} levels", self.here())
-
-    def combine(self, cls, left, right):
-        depth = 1 + max(left[1], right[1])
-        if depth > MAX_DEPTH:
-            raise self.too_deep()
-        return cls(left[0], right[0]), depth
-
     def term(self):
         node = self.factor()
         while self.peek() == "\\/":
             self.advance()
-            node = self.combine(Join, node, self.factor())
+            node = Join(node, self.factor())
         return node
 
     def factor(self):
         node = self.atom()
         while self.peek() == "/\\":
             self.advance()
-            node = self.combine(Meet, node, self.atom())
+            node = Meet(node, self.atom())
         return node
 
     def atom(self):
         tok = self.peek()
         if tok == "(":
             if self.parens == MAX_DEPTH:
-                raise self.too_deep()
+                raise TermSyntaxError(f"term nested deeper than {MAX_DEPTH} levels", self.here())
             self.parens += 1
             self.advance()
             node = self.term()
@@ -322,12 +318,12 @@ class _Parser:
         if tok is None or tok in ("/\\", "\\/", ")"):
             raise TermSyntaxError("expected a variable or '('", self.here())
         self.advance()
-        return Var(tok), 0
+        return Var(tok)
 
 
 def parse_term(text):
     parser = _Parser(text)
-    node, _ = parser.term()
+    node = parser.term()
     if parser.peek() is not None:
         raise TermSyntaxError(f"unexpected {parser.peek()!r}", parser.here())
     return node

@@ -35,6 +35,18 @@ def test_info_diamond_and_singleton(capsys):
     assert "size=1" in out and "distributive=yes" in out
 
 
+def test_info_builds_the_cover_pairs_once(capsys, monkeypatch):
+    calls = []
+    covers_i = latquot.core.Lattice.covers_i
+    monkeypatch.setattr(latquot.core.Lattice, "covers_i",
+                        lambda lat: calls.append(lat) or covers_i(lat))
+    for name, line in (("n5", "size=5 covers=5 distributive=no modular=no |Con|=5"),
+                       ("boolean-3", "size=8 covers=12 distributive=yes modular=yes |Con|=8")):
+        calls.clear()
+        assert run(capsys, "info", f"catalog:{name}") == (0, line + "\n", "")
+        assert len(calls) == 1
+
+
 def test_info_json(capsys):
     code, out, _ = run(capsys, "info", "catalog:n5", "--json")
     assert code == 0
@@ -191,6 +203,15 @@ def test_deep_identity_is_an_input_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_deep_operator_chain_is_read_at_any_depth(capsys, tmp_path):
+    # the distributive law with its lhs met with a 1000 more times is still it
+    path = tmp_path / "padded.ids"
+    path.write_text(r"a /\ (b \/ c)" + r" /\ a" * 1000 + r" = (a /\ b) \/ (a /\ c)" + "\n")
+    code, out, err = run(capsys, "kappa", "catalog:n5", "--identities", str(path))
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "kappa={0}{a,b}{c}{1}"
+
+
 def test_quotient_delta(capsys):
     code, out, _ = run(capsys, "quotient", "catalog:n5", "delta")
     assert code == 0
@@ -272,6 +293,15 @@ def test_check_theorem3(capsys):
 def test_check_theorem3_missing_operand(capsys):
     code, _, err = run(capsys, "check", "--theorem", "3", "catalog:m3")
     assert code == 1
+
+
+def test_check_theorem_1_and_2_take_one_lattice(capsys):
+    for theorem in ("1", "2"):
+        for other in ("catalog:m3", "/no/such/file"):
+            code, out, err = run(capsys, "check", "--theorem", theorem, "catalog:n5", other)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: check --theorem {theorem} takes one lattice\n"
 
 
 def test_check_size_limit_exit_code(capsys):

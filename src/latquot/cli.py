@@ -218,6 +218,8 @@ def cmd_dot(args):
 
 def cmd_catalog(args):
     if args.action == "list":
+        if args.name:
+            raise LatticeError("catalog list takes no lattice name")
         for name in _catalog.CATALOG_NAMES:
             print(name)
         return EXIT_OK

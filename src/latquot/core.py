@@ -5,7 +5,10 @@ total meet/join tables of indices.  The tables are the data; the order is
 derived from the meet table once, at construction, as per-element bitsets,
 unless the builder already holds them (``from_covers``).
 All public operations take and return identifiers; indices are internal.
-Instances are immutable after construction.
+Instances are immutable after construction.  Each order fact is decided
+in one place: ``from_covers`` closes the order and finds cycles in one
+topological pass, ``_tables_from_order`` is the one lattice test, and
+``_lower_stars`` the one lookup of J(L) and each j_*.
 
 ``is_identifier`` is the one rule for element identifiers, so that the
 text format and block notation can carry every one of them.
@@ -61,9 +64,8 @@ class Lattice:
     the indices below / above element ``i`` (inclusive), derived unless a
     builder that already holds them passes them as ``_order=(down, up)``.
     The tables are trusted, and so are given bitsets; ``_validate`` checks
-    the lattice axioms on them.  The
-    identifiers are trusted as well: ``is_identifier`` is checked by
-    ``from_covers``, not here.  Use
+    the lattice axioms on them.  The identifiers are trusted as well:
+    ``is_identifier`` is checked by ``from_covers``, not here.  Use
     :func:`from_covers` (or the constructors in :mod:`latquot.catalog`) to
     build a lattice from Hasse data.
     """
@@ -82,8 +84,7 @@ class Lattice:
         if _order is None:
             # row a of the meet table holds a exactly at the b above a
             n = len(self.elements)
-            up = [0] * n
-            down = [0] * n
+            up, down = [0] * n, [0] * n
             for a, row in enumerate(self.meet_table):
                 for b in range(n):
                     if row[b] == a:
@@ -160,30 +161,21 @@ class Lattice:
     # -- validation -----------------------------------------------------
 
     def _validate(self):
-        n = len(self)
-        for i in range(n):
-            if not self.up[i] >> i & 1:
-                raise LatticeError(f"order not reflexive at {self.elements[i]}")
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.leq_i(i, j) and self.leq_i(j, i):
-                    raise CycleDetected(
-                        f"{self.elements[i]} and {self.elements[j]} are order-equivalent"
-                    )
-                if self.leq_i(i, j):
-                    # transitivity: everything above j is above i
-                    if self.up[j] & ~self.up[i]:
-                        raise LatticeError("order not transitive")
-        for i in range(n):
-            for j in range(n):
-                lower = self.down[i] & self.down[j]
-                m = self.meet_table[i][j]
-                if not (lower >> m & 1) or self.down[m] != lower:
-                    raise NotALattice(self.elements[i], self.elements[j], "meet")
-                upper = self.up[i] & self.up[j]
-                jn = self.join_table[i][j]
-                if not (upper >> jn & 1) or self.up[jn] != upper:
-                    raise NotALattice(self.elements[i], self.elements[j], "join")
+        """Check the lattice axioms: the order is reflexive, antisymmetric
+        (else CycleDetected) and transitive, and the tables equal the glb
+        and lub tables that ``_tables_from_order`` derives from it (else
+        NotALattice at the first pair that differs, meet before join)."""
+        elements, down, up = self.elements, self.down, self.up
+        for i, (below, above) in enumerate(zip(down, up)):
+            if not above >> i & 1:
+                raise LatticeError(f"order not reflexive at {elements[i]}")
+            if below & above != 1 << i:
+                j = next(_bits(below & above & ~(1 << i)))
+                raise CycleDetected(f"{elements[i]} and {elements[j]} are order-equivalent")
+            if any(up[j] & ~above for j in _bits(above)):
+                raise LatticeError("order not transitive")
+        tables = self.meet_table, self.join_table
+        _first_wrong_pair(elements, tables, _tables_from_order(down, up))
 
 
 class DayRelation:
@@ -197,8 +189,7 @@ class DayRelation:
     has i <= k \\/ p but not i <= k_* \\/ p (Freese, Jezek and Nation,
     *Free Lattices*, ch. 2).
 
-    x is join-irreducible iff its strict down-set has a greatest element,
-    j_*, so J(L) takes one dictionary lookup per element.  For each k, the
+    J(L) and j_* are read off ``_lower_stars``.  For each k, the
     i with k \\/ p above them and k_* \\/ p not are ``below[k \\/ p]``
     without ``below[k_* \\/ p]``, so D takes O(|J| n) mask operations,
     one per distinct pair (k \\/ p, k_* \\/ p).
@@ -207,14 +198,10 @@ class DayRelation:
     __slots__ = ("joins", "lower", "below", "pred")
 
     def __init__(self, lat):
-        down, up, join = lat.down, lat.up, lat.join_table
-        principal = {mask: x for x, mask in enumerate(down)}
-        joins, lower = [], []
-        for x, mask in enumerate(down):
-            star = principal.get(mask & ~(1 << x))
-            if star is not None:  # the bottom's strict down-set is empty
-                joins.append(x)
-                lower.append(star)
+        up, join = lat.up, lat.join_table
+        stars = _lower_stars(lat)
+        joins = [x for x, star in enumerate(stars) if star is not None]
+        lower = [stars[j] for j in joins]
         below = [0] * len(lat)
         for t, j in enumerate(joins):
             for x in _bits(up[j]):
@@ -229,43 +216,45 @@ class DayRelation:
         self.below, self.pred = tuple(below), tuple(pred)
 
 
-def _tables_from_order(elements, down, up):
-    """Compute meet/join tables from order bitsets, or raise NotALattice.
+def _lower_stars(lat):
+    """Each element's j_*, the greatest element strictly below it, or None:
+    x is join-irreducible iff its strict down-set (empty for the bottom)
+    has a greatest element, one dictionary lookup per element."""
+    principal = {mask: x for x, mask in enumerate(lat.down)}
+    return [principal.get(mask & ~(1 << x)) for x, mask in enumerate(lat.down)]
 
-    The glb of (i, j) is the unique m with down[m] == down[i] & down[j];
-    dually for lub.
-    """
-    n = len(elements)
-    down_index = {}
-    up_index = {}
-    for k in range(n):
-        down_index.setdefault(down[k], k)
-        up_index.setdefault(up[k], k)
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lower = down[i] & down[j]
-            m = down_index.get(lower)
-            if m is None:
-                raise NotALattice(elements[i], elements[j], "meet")
-            meet[i][j] = m
-            upper = up[i] & up[j]
-            u = up_index.get(upper)
-            if u is None:
-                raise NotALattice(elements[i], elements[j], "join")
-            join[i][j] = u
-    return meet, join
+
+def _tables_from_order(down, up):
+    """The glb and lub tables of an antisymmetric order's bitsets: m with
+    down[m] == down[i] & down[j] at (i, j), dually for the lub, or None."""
+    meet_of = {mask: k for k, mask in enumerate(down)}
+    join_of = {mask: k for k, mask in enumerate(up)}
+    return ([tuple([meet_of.get(a & b) for b in down]) for a in down],
+            [tuple([join_of.get(a & b) for b in up]) for a in up])
+
+
+def _first_wrong_pair(elements, tables, derived):
+    """Raise NotALattice at the first pair, row-major and meet before join,
+    where the ``derived`` (meet, join) is None or differs from ``tables``."""
+    for i, rows in enumerate(zip(*tables, *derived)):
+        if None in rows[2] or None in rows[3] or rows[:2] != rows[2:]:
+            for j, (m, jn, dm, dj) in enumerate(zip(*rows)):
+                if dm is None or m != dm:
+                    raise NotALattice(elements[i], elements[j], "meet")
+                if dj is None or jn != dj:
+                    raise NotALattice(elements[i], elements[j], "join")
 
 
 def from_covers(elements, covers):
     """Build a validated lattice from its Hasse data.
 
-    ``covers`` is an iterable of (lower, upper) identifier pairs; the order
-    is the reflexive-transitive closure of the cover relation.  Raises
-    DuplicateElement, UnknownElement, CycleDetected, or NotALattice (with a
-    witness pair) when the data does not describe a lattice, and
-    LatticeError for a name that is not ``is_identifier``.
+    ``covers`` is an iterable of (lower, upper) identifier pairs whose
+    reflexive-transitive closure is the order; ``(a, a)`` is ignored.  The
+    closure takes one pass of Kahn's algorithm, O(n + |covers|) bitset ORs.
+    Raises DuplicateElement, UnknownElement, CycleDetected (naming two
+    elements of one cycle), or NotALattice (at the first pair in row-major
+    order without a glb or lub, meet before join), and LatticeError for a
+    name that is not ``is_identifier``.
     """
     elements = list(elements)
     if len(set(elements)) != len(elements):
@@ -280,31 +269,39 @@ def from_covers(elements, covers):
             )
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
-    up = [1 << i for i in range(n)]
+    above = [[] for _ in range(n)]
+    waiting = [0] * n  # lower covers not yet placed
     for lo, hi in covers:
-        if lo not in index:
-            raise UnknownElement(f"unknown element {lo!r} in cover")
-        if hi not in index:
-            raise UnknownElement(f"unknown element {hi!r} in cover")
-        up[index[lo]] |= 1 << index[hi]
-    # Warshall closure over the bitset rows
-    for k in range(n):
-        bit = 1 << k
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= up[k]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if up[i] >> j & 1 and up[j] >> i & 1:
-                raise CycleDetected(
-                    f"cycle through {elements[i]} and {elements[j]}"
-                )
-    down = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if up[j] >> i & 1:
-                down[i] |= 1 << j
-    meet, join = _tables_from_order(elements, down, up)
+        for e in (lo, hi):
+            if e not in index:
+                raise UnknownElement(f"unknown element {e!r} in cover")
+        if lo != hi:
+            above[index[lo]].append(index[hi])
+            waiting[index[hi]] += 1
+    # Kahn's algorithm: ``placed`` grows into a linear extension while it is
+    # read, and each element's down-set is final by the time it is placed
+    down = [1 << i for i in range(n)]
+    placed = [i for i in range(n) if not waiting[i]]
+    for i in placed:
+        for j in above[i]:
+            down[j] |= down[i]
+            waiting[j] -= 1
+            if not waiting[j]:
+                placed.append(j)
+    if len(placed) < n:
+        # each element left has a lower cover left: |left| steps down reach a cycle
+        left = set(range(n)).difference(placed)
+        lower = {j: i for i in left for j in above[i] if j in left}
+        x = min(left)
+        for _ in left:
+            x = lower[x]
+        raise CycleDetected(f"cycle through {elements[x]} and {elements[lower[x]]}")
+    up = [1 << i for i in range(n)]
+    for i in reversed(placed):
+        for j in above[i]:
+            up[i] |= up[j]
+    meet, join = _tables_from_order(down, up)
+    _first_wrong_pair(elements, (meet, join), (meet, join))  # raises at a missing glb or lub
     return Lattice(elements, meet, join, _order=(down, up))
 
 
@@ -337,28 +334,21 @@ def distributive_failure(lat):
 
     A finite lattice is distributive iff every join-irreducible is
     join-prime (Birkhoff).  ``j`` is join-irreducible when its strictly
-    lower elements join to an element below ``j``, and join-prime when
-    ``j <= a \\/ b`` implies ``j <= a`` or ``j <= b``.  For each
-    join-irreducible ``j`` in index order, ``join`` is folded over the
-    elements ``x`` with ``j`` not below ``x``, in index order; if ``j`` is
-    not join-prime, the join of all of them lies above ``j``, and the
+    lower elements have a greatest element (``_lower_stars``), and
+    join-prime when ``j <= a \\/ b`` implies ``j <= a`` or ``j <= b``.
+    For each join-irreducible ``j`` in index order, ``join`` is folded over
+    the elements ``x`` with ``j`` not below ``x``, in index order; if ``j``
+    is not join-prime, the join of all of them lies above ``j``, and the
     first fold ``acc \\/ x`` that does gives the failure.  The assignment
     (j, acc, x) then breaks x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z): the
     left side is ``j``, the right side ``r = (j /\\ acc) \\/ (j /\\ x)``
     joins two elements strictly below ``j``, so it lies below the join of
     everything strictly below ``j``, which is not ``j``.  O(n^2).
     """
-    n = len(lat)
-    meet, join, up, down = lat.meet_table, lat.join_table, lat.up, lat.down
-    everything = (1 << n) - 1
-    for j in range(n):
-        lower = _bits(down[j] & ~(1 << j))
-        acc = next(lower, None)
-        if acc is None:  # the bottom
-            continue
-        for x in lower:
-            acc = join[acc][x]
-        if acc == j:  # j is the join of its lower elements
+    meet, join, up = lat.meet_table, lat.join_table, lat.up
+    everything = (1 << len(lat)) - 1
+    for j, star in enumerate(_lower_stars(lat)):
+        if star is None:  # the bottom, or the join of its lower elements
             continue
         outside = _bits(everything & ~up[j])
         acc = next(outside)  # the bottom is not above j

@@ -304,6 +304,15 @@ def test_check_theorem_1_and_2_take_one_lattice(capsys):
             assert err == f"error: check --theorem {theorem} takes one lattice\n"
 
 
+def test_catalog_list_takes_no_lattice_name(capsys):
+    # the name used to be ignored, and the list printed with exit 0
+    for name in ("n5", "/no/such/file"):
+        code, out, err = run(capsys, "catalog", "list", name)
+        assert code == 1
+        assert out == ""
+        assert err == "error: catalog list takes no lattice name\n"
+
+
 def test_check_size_limit_exit_code(capsys):
     code, _, err = run(capsys, "congruences", "catalog:fm-3")
     assert code == 3

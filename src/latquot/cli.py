@@ -12,16 +12,15 @@ import json
 import os
 import sys
 
-from . import catalog as _catalog
+from . import catalog
 from .congruence import (
-    _closed_set,
-    _congruence_closure,
     all_congruences,
     congruence_from_blocks,
     join_irreducible_congruences,
+    principal_generator,
     quotient,
 )
-from .core import _cover_lists, _modular_failure, is_distributive, product
+from .core import is_distributive, is_modular, product
 from .errors import LatticeError, SizeLimitExceeded
 from .terms import BUILTIN_CLASSES, parse_identity_file
 from .textfmt import dump_lattice_text, parse_congruence_text, parse_lattice_text, to_dot
@@ -47,7 +46,7 @@ def load_lattice(source):
     """Load from "catalog:<name>", a file path, or "-" for stdin."""
     if source.startswith("catalog:"):
         try:
-            return _catalog.resolve(source[len("catalog:"):]).lattice
+            return catalog.resolve(source[len("catalog:"):]).lattice
         except KeyError as exc:
             raise LatticeError(str(exc)) from None
     if source == "-":
@@ -86,10 +85,8 @@ def _emit(args, text_lines, payload):
 
 def cmd_info(args):
     lat = load_lattice(args.lattice)
-    dist = is_distributive(lat)
-    cover_lists = _cover_lists(lat)  # the cover pairs, built once for both uses
-    mod = _modular_failure(lat, *cover_lists) is None
-    covers = sum(map(len, cover_lists[0]))
+    dist, mod = is_distributive(lat), is_modular(lat)
+    covers = sum(map(len, lat.cover_lists()[0]))  # kept by is_modular
     try:
         con_size = len(all_congruences(lat, max_size=args.max_con))
     except SizeLimitExceeded:
@@ -107,18 +104,6 @@ def cmd_info(args):
         "con_size": con_size,
     })
     return EXIT_OK
-
-
-def principal_generator(lat, theta):
-    """The first pair (a, b) in index order with theta(a, b) == theta, or
-    None; congruences are compared by their D-closed sets."""
-    closed = _closed_set(lat, theta)
-    n = len(lat)
-    for i in range(n):
-        for j in range(i, n):
-            if theta.same(i, j) and _congruence_closure(lat, 0, [(i, j)]) == closed:
-                return (lat.elements[i], lat.elements[j])
-    return None
 
 
 def cmd_delta(args):
@@ -220,13 +205,13 @@ def cmd_catalog(args):
     if args.action == "list":
         if args.name:
             raise LatticeError("catalog list takes no lattice name")
-        for name in _catalog.CATALOG_NAMES:
+        for name in catalog.CATALOG_NAMES:
             print(name)
         return EXIT_OK
     if not args.name:
         raise LatticeError("catalog dump needs a lattice name")
     try:
-        named = _catalog.resolve(args.name)
+        named = catalog.resolve(args.name)
     except KeyError as exc:
         raise LatticeError(str(exc)) from None
     print(dump_lattice_text(named.lattice), end="")

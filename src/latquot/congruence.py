@@ -199,6 +199,18 @@ def _closed_set(lat, theta):
     return closed
 
 
+def principal_generator(lat, theta):
+    """The first pair (a, b) in index order with theta(a, b) == theta, or
+    None; congruences are compared by their D-closed sets."""
+    closed = _closed_set(lat, theta)
+    n = len(lat)
+    for i in range(n):
+        for j in range(i, n):
+            if theta.same(i, j) and _congruence_closure(lat, 0, [(i, j)]) == closed:
+                return (lat.elements[i], lat.elements[j])
+    return None
+
+
 def principal_congruence(lat, a, b):
     """theta(a, b): the least congruence identifying a and b."""
     return generated_congruence(lat, [(a, b)])

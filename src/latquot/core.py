@@ -7,8 +7,9 @@ unless the builder already holds them (``from_covers``).
 All public operations take and return identifiers; indices are internal.
 Instances are immutable after construction.  Each order fact is decided
 in one place: ``from_covers`` closes the order and finds cycles in one
-topological pass, ``_tables_from_order`` is the one lattice test, and
-``_lower_stars`` the one lookup of J(L) and each j_*.
+topological pass, ``_tables_from_order`` is the one lattice test,
+``_lower_stars`` the one lookup of J(L) and each j_*, and
+``Lattice.cover_lists`` the one build of each element's covers.
 
 ``is_identifier`` is the one rule for element identifiers, so that the
 text format and block notation can carry every one of them.
@@ -63,14 +64,17 @@ class Lattice:
     ``i <= j`` iff ``i /\\ j == i``.  ``down[i]`` and ``up[i]`` are bitsets of
     the indices below / above element ``i`` (inclusive), derived unless a
     builder that already holds them passes them as ``_order=(down, up)``.
-    The tables are trusted, and so are given bitsets; ``_validate`` checks
-    the lattice axioms on them.  The identifiers are trusted as well:
-    ``is_identifier`` is checked by ``from_covers``, not here.  Use
-    :func:`from_covers` (or the constructors in :mod:`latquot.catalog`) to
-    build a lattice from Hasse data.
+    Day's relation (``day``) and the cover lists (``cover_lists``) are
+    built on first use and kept.  The tables are trusted, and so are given
+    bitsets; ``_validate`` checks the lattice axioms on them.  The
+    identifiers are trusted as well: ``is_identifier`` is checked by
+    ``from_covers``, not here.  Use :func:`from_covers` (or the
+    constructors in :mod:`latquot.catalog`) to build a lattice from Hasse
+    data.
     """
 
-    __slots__ = ("elements", "_index", "down", "up", "meet_table", "join_table", "_day")
+    __slots__ = ("elements", "_index", "down", "up", "meet_table", "join_table", "_day",
+                 "_covers")
 
     def __init__(self, elements, meet_table, join_table, *, _order=None):
         self.elements = tuple(elements)
@@ -92,7 +96,7 @@ class Lattice:
                         down[b] |= 1 << a
             _order = down, up
         self.down, self.up = tuple(_order[0]), tuple(_order[1])
-        self._day = None
+        self._day = self._covers = None
 
     def day(self):
         """J(L) and Day's dependency relation on it (``DayRelation``),
@@ -149,8 +153,22 @@ class Lattice:
                     out.append((i, j))
         return out
 
+    def cover_lists(self):
+        """Each element's upper covers and lower covers, as tuples of
+        indices in index order, built from ``covers_i`` on the first call
+        and kept."""
+        if self._covers is None:
+            upper, lower = [[] for _ in self.elements], [[] for _ in self.elements]
+            for i, j in self.covers_i():
+                upper[i].append(j)
+                lower[j].append(i)
+            self._covers = tuple(map(tuple, upper)), tuple(map(tuple, lower))
+        return self._covers
+
     def covers(self):
-        return [(self.elements[i], self.elements[j]) for i, j in self.covers_i()]
+        """Cover pairs (lower, upper) of identifiers, in ``covers_i`` order."""
+        return [(self.elements[i], self.elements[j])
+                for i, above in enumerate(self.cover_lists()[0]) for j in above]
 
     def interval(self, lo, hi):
         """Identifiers z with lo <= z <= hi, in carrier order."""
@@ -378,13 +396,10 @@ def modular_failure(lat):
     u <= b /\\ c <= b, and b /\\ c != b (else a \\/ b <= c), so
     b /\\ c = u <= a.  Dually, if u covers a and b and x lies strictly
     between a /\\ b and a, then x \\/ b = u >= a, and the triple is
-    (x, b, a).  O(sum of the squared cover degrees) mask operations.
+    (x, b, a).  O(sum of the squared cover degrees) mask operations, on
+    the kept ``Lattice.cover_lists``.
     """
-    return _modular_failure(lat, *_cover_lists(lat))
-
-
-def _modular_failure(lat, upper, lower):
-    """``modular_failure`` given the cover lists (``_cover_lists``)."""
+    upper, lower = lat.cover_lists()
     meet, join, up, down = lat.meet_table, lat.join_table, lat.up, lat.down
     for u in range(len(lat)):
         for a, b in permutations(upper[u], 2):
@@ -430,32 +445,27 @@ def restrict(lat, members: Sequence):
     """The sublattice on ``members``, which must be meet/join closed."""
     idxs = sorted(lat.index(m) for m in members)
     pos = {old: new for new, old in enumerate(idxs)}
-    for i in idxs:
-        for j in idxs:
-            if lat.meet_table[i][j] not in pos or lat.join_table[i][j] not in pos:
-                raise LatticeError("subset is not closed under meet and join")
-    meet = [[pos[lat.meet_table[i][j]] for j in idxs] for i in idxs]
-    join = [[pos[lat.join_table[i][j]] for j in idxs] for i in idxs]
+    meet, join = [], []
+    try:  # a meet or join outside the subset is not in pos
+        for i in idxs:
+            meet.append([pos[lat.meet_table[i][j]] for j in idxs])
+            join.append([pos[lat.join_table[i][j]] for j in idxs])
+    except KeyError:
+        raise LatticeError("subset is not closed under meet and join") from None
     return Lattice([lat.elements[i] for i in idxs], meet, join)
 
 
-def _cover_lists(lat):
-    """Each element's upper covers and lower covers, as lists of indices."""
-    upper, lower = [[] for _ in lat.elements], [[] for _ in lat.elements]
-    for i, j in lat.covers_i():
-        upper[i].append(j)
-        lower[j].append(i)
-    return upper, lower
+_SIGNATURE_ROUNDS = 3  # refinements of each signature by its covers' signatures
 
 
-def _refine_signatures(lat, rounds=3):
+def _refine_signatures(lat):
     n = len(lat)
-    upper, lower = _cover_lists(lat)
+    upper, lower = lat.cover_lists()
     sig = [
         (bin(lat.down[i]).count("1"), bin(lat.up[i]).count("1"), len(lower[i]), len(upper[i]))
         for i in range(n)
     ]
-    for _ in range(rounds):
+    for _ in range(_SIGNATURE_ROUNDS):
         sig = [
             (sig[i], tuple(sorted(sig[j] for j in lower[i])), tuple(sorted(sig[j] for j in upper[i])))
             for i in range(n)

@@ -62,12 +62,19 @@ def satisfies(lat, spec):
     return (ident, {v: lat.elements[i] for v, i in env.items()})
 
 
+def _sweep_work(spec, *sizes):
+    """The assignments that sweeping ``spec`` once over a lattice of each
+    of ``sizes`` elements visits: the sum of size^k over the sizes and the
+    k-variable identities."""
+    return sum(size ** len(sweep.names) for sweep in spec.sweeps for size in sizes)
+
+
 def check_work(size, spec, max_work):
     """Raise SizeLimitExceeded if one full sweep of ``spec`` over ``size``
-    elements, the sum of size^k over the identities, exceeds ``max_work``."""
+    elements (``_sweep_work``) exceeds ``max_work``."""
     if max_work is None:
         return
-    work = sum(size ** len(sweep.names) for sweep in spec.sweeps)
+    work = _sweep_work(spec, size)
     if work > max_work:
         raise SizeLimitExceeded(
             f"identity sweep of {work} assignments exceeds the work cap {max_work}"
@@ -95,30 +102,14 @@ def _defines_distributive(sweeps):
     return holds(_CHAIN2) and not holds(_M3) and not holds(_N5)
 
 
-class _ClassTest:
-    """Whether a spec defines exactly the distributive class, and what
-    deciding it costs: sweeping 2, M3 and N5, the sum of 2^k + 2 * 5^k
-    assignments over its k-variable identities.  Both depend on the spec
-    alone; the verdict is decided on first request (``_class_test``)."""
-
-    def __init__(self, sweeps):
-        self.sweeps = sweeps
-        self.charge = sum(2 ** len(sweep.names) + 2 * 5 ** len(sweep.names) for sweep in sweeps)
-        self._verdict = None
-
-    def defines_distributive(self):
-        if self._verdict is None:
-            self._verdict = _defines_distributive(self.sweeps)
-        return self._verdict
-
-
-def _class_test(spec):
-    """The ``_ClassTest`` of ``spec``, made once and kept on the spec, in
-    its ``__dict__`` beside the ``sweeps`` it is made from."""
-    test = spec.__dict__.get("_class_test")
-    if test is None:
-        test = spec.__dict__["_class_test"] = _ClassTest(spec.sweeps)
-    return test
+def _distributive_verdict(spec):
+    """``_defines_distributive`` of ``spec``, decided on the first call and
+    kept on the spec, in its ``__dict__`` beside the ``sweeps`` it is
+    decided from."""
+    kept = spec.__dict__
+    if "_defines_distributive" not in kept:
+        kept["_defines_distributive"] = _defines_distributive(spec.sweeps)
+    return kept["_defines_distributive"]
 
 
 def kappa(lat, spec, max_work=None):
@@ -127,11 +118,11 @@ def kappa(lat, spec, max_work=None):
     Congruences are handled as D-closed sets of join-irreducibles (see
     ``congruence``).  When the identities define exactly the distributive
     class (``_defines_distributive``: 2 satisfies them, M3 and N5 do not;
-    decided once per spec and kept on it, and asked for |L| >= 5 only,
-    since every smaller lattice is distributive and one sweep of it costs
-    less than sweeping 2, M3 and N5), the answer is delta(L), and it is
-    the congruence theta of the set S of D's sources, the j with j D k
-    for some k.  Proof in two parts.
+    decided once per spec and kept on it by ``_distributive_verdict``, and
+    asked for |L| >= 5 only, since every smaller lattice is distributive
+    and one sweep of it costs less than sweeping 2, M3 and N5), the
+    answer is delta(L), and it is the congruence theta of the set S of
+    D's sources, the j with j D k for some k.  Proof in two parts.
 
     Each source is forced: let j D k by p, and phi any congruence with
     distributive quotient.  Then j != k, j is below neither k nor p (else
@@ -168,18 +159,18 @@ def kappa(lat, spec, max_work=None):
 
     ``max_work`` caps the search, charging the path that runs.  The spec
     is classified only if sweeping 2, M3 and N5 fits the cap (the sum of
-    2^k + 2 * 5^k over the k-variable identities); the distributive class
-    is then charged |L|^2 for Day's relation.  Any other spec, and any
-    spec whose classification does not fit, is charged one full sweep of
-    L (``check_work``).  Above the charge, SizeLimitExceeded is raised
+    2^k + 2 * 5^k over the k-variable identities, ``_sweep_work``); the
+    distributive class is then charged |L|^2 for Day's relation.  Any
+    other spec, and any spec whose classification does not fit, is
+    charged one full sweep of L (``check_work``).  Above the charge, SizeLimitExceeded is raised
     before L is searched.  The cap is tested on every call, before a kept
     verdict is read, so a spec classified by an earlier call is charged
     exactly as a fresh one.
     """
-    size, test = len(lat), _class_test(spec)
+    size = len(lat)
     # classifying the spec sweeps 2, M3 and N5, so it must fit the cap too
-    if (size >= 5 and (max_work is None or test.charge <= max_work)
-            and test.defines_distributive()):
+    if (size >= 5 and (max_work is None or _sweep_work(spec, 2, 5, 5) <= max_work)
+            and _distributive_verdict(spec)):
         if max_work is not None and size ** 2 > max_work:
             raise SizeLimitExceeded(
                 f"Day relation over {size ** 2} element pairs exceeds the work cap {max_work}")
@@ -224,16 +215,15 @@ def class_filter(lat, spec, max_size=12):
 def kappa_oracle(lat, spec, max_size=12):
     """kappa by brute force: the meet of ``class_filter``.
 
-    The meet of the filtered set is itself in the set (closure of the
-    filter under arbitrary intersections); this is asserted.  Independent
-    of ``kappa``: it sweeps every quotient, not a witness-driven sequence.
+    The filter is the principal up-set of kappa (Theorem 1), so its meet
+    is kappa and lies in the filter; ``verify_theorem1`` checks that, not
+    every call.  Independent of ``kappa``: it sweeps every quotient, not a
+    witness-driven sequence.
     """
     filtered = class_filter(lat, spec, max_size=max_size)
     result = filtered[0]
     for theta in filtered[1:]:
         result = cong_meet(result, theta)
-    if result not in filtered:
-        raise RuntimeError("internal error: meet of the class filter escapes it")
     return result
 
 

@@ -1,9 +1,11 @@
+import ast
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,26 @@ def test_info_builds_the_cover_pairs_once(capsys, monkeypatch):
         calls.clear()
         assert run(capsys, "info", f"catalog:{name}") == (0, line + "\n", "")
         assert len(calls) == 1
+
+
+def test_dot_and_dump_build_the_cover_pairs_once(capsys, monkeypatch):
+    calls = []
+    covers_i = latquot.core.Lattice.covers_i
+    monkeypatch.setattr(latquot.core.Lattice, "covers_i",
+                        lambda lat: calls.append(lat) or covers_i(lat))
+    for argv in (["dot", "catalog:n5"], ["dot", "catalog:n5", "--highlight", "delta"],
+                 ["catalog", "dump", "m3"]):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1, argv
+
+
+def test_the_cli_imports_no_private_name():
+    tree = ast.parse(Path(latquot.cli.__file__).read_text(encoding="utf-8"))
+    names = [name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names for name in (alias.name, alias.asname or "")]
+    assert "kappa" in names
+    assert [name for name in names if name.rpartition(".")[2].startswith("_")] == []
 
 
 def test_info_json(capsys):

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latquot import (
+    Lattice,
     boolean,
     chain,
     from_covers,
@@ -278,8 +279,21 @@ def test_isomorphism_size_cap():
     assert is_isomorphic(lat, lat, max_size=8)
 
 
-def test_restrict_requires_closed_subset():
-    from latquot.errors import LatticeError
+def test_is_isomorphic_builds_each_lattice_s_cover_pairs_once(monkeypatch):
+    calls = []
+    covers_i = Lattice.covers_i
+    monkeypatch.setattr(Lattice, "covers_i", lambda lat: calls.append(lat) or covers_i(lat))
+    l1, l2 = n5().lattice, n5().lattice
+    assert is_isomorphic(l1, l2) and is_isomorphic(l2, l1) and not is_modular(l1)
+    assert calls == [l1, l2]
 
-    with pytest.raises(LatticeError):
-        restrict(n5().lattice, ["a", "c"])  # meet(a,c)=0 missing
+
+def test_restrict_requires_closed_subset():
+    lat = n5().lattice
+    # both missing, the join a \/ c = 1 alone, the meet a /\ c = 0 alone
+    for members in (["a", "c"], ["0", "a", "c"], ["a", "c", "1"]):
+        with pytest.raises(LatticeError, match="^subset is not closed under meet and join$"):
+            restrict(lat, members)
+    sub = restrict(lat, ["1", "a", "0", "b"])
+    assert sub.elements == ("0", "a", "b", "1")
+    assert sub.covers() == [("0", "b"), ("a", "1"), ("b", "a")]

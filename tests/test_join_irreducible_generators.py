@@ -3,7 +3,8 @@
 ``all_congruences`` joins the distinct con(j_*, j) over the
 join-irreducibles j.  Here they are compared with the distinct principal
 congruences of all cover pairs, and ``covers_i`` with the definition of a
-cover, on random lattices of up to 24 elements and on the catalog.  The
+cover, on random lattices of up to 24 elements and on the catalog, as
+are the kept cover lists (``Lattice.cover_lists``).  The
 closure, which skips the generators a congruence already contains, is
 compared with joining every congruence to every generator, on lattices
 above the partition oracle's 8 elements.
@@ -55,6 +56,26 @@ def test_generators_are_the_distinct_cover_congruences(lat):
 @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES if len(resolve(n).lattice) <= 28])
 def test_generators_on_the_catalog(name):
     check_generators(resolve(name).lattice)
+
+
+def check_cover_lists(lat):
+    pairs, n = lat.covers_i(), len(lat)
+    upper, lower = lat.cover_lists()
+    assert upper == tuple(tuple(j for i, j in pairs if i == x) for x in range(n))
+    assert lower == tuple(tuple(i for i, j in pairs if j == x) for x in range(n))
+    assert lat.cover_lists() is lat.cover_lists()
+    assert lat.covers() == [(lat.elements[i], lat.elements[j]) for i, j in pairs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattices(max_elements=24))
+def test_cover_lists_are_the_cover_pairs(lat):
+    check_cover_lists(lat)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_cover_lists_on_the_catalog(name):
+    check_cover_lists(resolve(name).lattice)
 
 
 def naive_closure(lat):

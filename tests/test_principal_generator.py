@@ -1,4 +1,4 @@
-"""``cli.principal_generator`` against a scan of every principal congruence.
+"""``congruence.principal_generator`` against a scan of every principal congruence.
 
 The generator compares D-closed sets.  Here it must return the first pair
 ``i <= j`` in index order whose principal congruence is ``theta``, or None,
@@ -17,7 +17,7 @@ from latquot import (
     kappa,
     principal_congruence,
 )
-from latquot.cli import principal_generator
+from latquot.congruence import principal_generator
 
 from test_kappa_differential import lattices
 

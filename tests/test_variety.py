@@ -172,7 +172,7 @@ def test_the_work_cap_is_tested_before_a_kept_verdict(monkeypatch):
     assert kappa(lat, DISTRIBUTIVE, max_work=258) == theta
     assert swept == []
     with monkeypatch.context() as patch:
-        patch.setattr(variety._ClassTest, "defines_distributive", _fail)
+        patch.setattr(variety, "_distributive_verdict", _fail)
         assert kappa(lat, DISTRIBUTIVE, max_work=257) == theta
         assert swept and swept[0] == 5
         with pytest.raises(SizeLimitExceeded, match="identity sweep of 125"):

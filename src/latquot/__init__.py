@@ -39,6 +39,7 @@ from .core import (
     restrict,
     sublattice_closure,
 )
+from .errors import LatticeError
 from .terms import (
     BUILTIN_CLASSES,
     DISTRIBUTIVE,

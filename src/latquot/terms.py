@@ -2,6 +2,9 @@ r"""Lattice terms, identities, and the identity-file syntax.
 
 Concrete syntax: "/\" is meet, "\/" is join; meet binds tighter, both
 associate left; parentheses group; names match [A-Za-z_][A-Za-z0-9_]*.
+An identity is two terms joined by one "=".  Operators and parentheses
+nest to any depth: the reader is one left-to-right pass with explicit
+stacks, as every walk over a term is.
 """
 
 from __future__ import annotations
@@ -242,91 +245,63 @@ def render_term(term):
     return _fold(term, lambda name: (name, 2), node)[0]
 
 
-_TOKEN = re.compile(r"\s*(/\\|\\/|\(|\)|[A-Za-z_][A-Za-z0-9_]*)")
+# One token per match: a name, an operator, '(', ')' or '=', any other
+# character, or the end of the text, each after its blanks.
+_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(/\\|\\/|[()=])|(\S)|\Z)")
+# How tightly each pending token binds.  A token read after an operand
+# applies the pending operators that bind at least as tightly as it does;
+# ')', '=' and the end bind as loosely as '\/', and '(' stops them all.
+_BINDS = {"(": 0, "\\/": 1, "/\\": 2}
+_NODES = {"\\/": Join, "/\\": Meet}
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise TermSyntaxError(
-                f"unexpected character {stripped[0]!r}", len(text) - len(stripped)
-            )
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
-
-
-# Deepest parenthesis nesting a parsed term may have.  The parser recurses
-# once per parenthesis, so this keeps it far below Python's recursion limit
-# on outside input; the operators of a term nest to any depth.
-MAX_DEPTH = 100
-
-
-class _Parser:
-    """Recursive descent, one level per parenthesis."""
-
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.parens = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def here(self):
-        return self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.text)
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == "\\/":
-            self.advance()
-            node = Join(node, self.factor())
-        return node
-
-    def factor(self):
-        node = self.atom()
-        while self.peek() == "/\\":
-            self.advance()
-            node = Meet(node, self.atom())
-        return node
-
-    def atom(self):
-        tok = self.peek()
-        if tok == "(":
-            if self.parens == MAX_DEPTH:
-                raise TermSyntaxError(f"term nested deeper than {MAX_DEPTH} levels", self.here())
-            self.parens += 1
-            self.advance()
-            node = self.term()
-            if self.peek() != ")":
-                raise TermSyntaxError("expected ')'", self.here())
-            self.advance()
-            self.parens -= 1
-            return node
-        if tok is None or tok in ("/\\", "\\/", ")"):
-            raise TermSyntaxError("expected a variable or '('", self.here())
-        self.advance()
-        return Var(tok)
+def _read(text, sides, where=""):
+    """The ``sides`` terms of ``text`` separated by '=' (1: a term, 2: an
+    identity), read left to right in one pass, so any depth works.  An error
+    is the first one in reading order, prefixed by ``where``."""
+    operands, pending, sides_read = [], [], []  # pending: '/\', '\/' and '('
+    operand = False  # the last token completed an operand
+    for m in _TOKEN.finditer(text):
+        name, tok, bad = m.groups()
+        at = m.start(m.lastindex) if m.lastindex else m.end()
+        if bad or (tok == "=" and sides == 1):
+            raise TermSyntaxError(f"{where}unexpected character {bad or tok!r}", at)
+        if not operand:
+            if name:
+                operands.append(Var(name))
+                operand = True
+            elif tok == "(":
+                pending.append(tok)
+            else:
+                raise TermSyntaxError(f"{where}expected a variable or '('", at)
+            continue
+        if name or tok == "(":
+            message = "expected ')'" if "(" in pending else f"unexpected {name or tok!r}"
+            raise TermSyntaxError(where + message, at)
+        binds = _BINDS.get(tok, 1)
+        while pending and _BINDS[pending[-1]] >= binds:
+            right = operands.pop()
+            operands[-1] = _NODES[pending.pop()](operands[-1], right)
+        if tok in _NODES:
+            pending.append(tok)
+            operand = False
+        elif tok == ")":
+            if not pending:
+                raise TermSyntaxError(f"{where}unexpected ')'", at)
+            pending.pop()
+        elif pending:
+            raise TermSyntaxError(f"{where}expected ')'", at)
+        else:  # '=' or the end closes a side; the end must close the last one
+            sides_read.append(operands.pop())
+            if (tok is None) != (len(sides_read) == sides):
+                raise TermSyntaxError(f"{where}an identity needs exactly one '='", at)
+            if tok is None:
+                return sides_read
+            operand = False
 
 
 def parse_term(text):
-    parser = _Parser(text)
-    node = parser.term()
-    if parser.peek() is not None:
-        raise TermSyntaxError(f"unexpected {parser.peek()!r}", parser.here())
-    return node
+    return _read(text, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -361,25 +336,18 @@ class ClassSpec:
 
 
 def parse_identity(line, name=""):
-    if line.count("=") != 1:
-        raise TermSyntaxError("an identity needs exactly one '='", line.find("=") + 1)
-    lhs, rhs = line.split("=")
-    offset = len(lhs) + 1
-    try:
-        right = parse_term(rhs)
-    except TermSyntaxError as exc:
-        raise TermSyntaxError(str(exc).rsplit(" (at", 1)[0], exc.position + offset) from None
-    return Identity(parse_term(lhs), right, name)
+    return Identity(*_read(line, 2), name)
 
 
 def parse_identity_file(text, name="custom"):
-    """One identity per line; '#' starts a comment; blank lines ignored."""
+    """One identity per line; '#' starts a comment; blank lines ignored.  An
+    error names its line, and its position counts from the line's start."""
     identities = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        identities.append(parse_identity(line, name=f"{name}:{lineno}"))
+        line = raw.split("#", 1)[0]
+        if line.strip():
+            sides = _read(line, 2, f"line {lineno}: ")
+            identities.append(Identity(*sides, f"{name}:{lineno}"))
     return ClassSpec(tuple(identities), name)
 
 

@@ -215,14 +215,32 @@ def test_delta_of_boolean_8_fits_the_default_work_cap(capsys):
     assert "65536" in err
 
 
-def test_deep_identity_is_an_input_error(capsys, tmp_path):
+def test_deeply_parenthesised_identity_is_read(capsys, tmp_path):
+    # x = x holds in every lattice, so its kappa is the identity congruence
     path = tmp_path / "deep.ids"
     path.write_text("x = " + "(" * 3000 + "x" + ")" * 3000 + "\n")
     code, out, err = run(capsys, "kappa", "catalog:n5", "--identities", str(path))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: term nested deeper than")
-    assert "Traceback" not in err
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "kappa={0}{a}{b}{c}{1}"
+
+
+@pytest.mark.parametrize("text, error", [
+    ("x = x\n\n(x /\\ y = y\n", "error: line 3: expected ')' (at position 8)\n"),
+    ("    x = (x\n", "error: line 1: expected ')' (at position 10)\n"),
+    ("x = y\n# c\na b = c d\n", "error: line 3: unexpected 'b' (at position 2)\n"),
+])
+def test_identity_file_errors_name_their_line(capsys, tmp_path, text, error):
+    # the position counts from the start of the line in the file
+    path = tmp_path / "bad.ids"
+    path.write_text(text)
+    code, out, err = run(capsys, "kappa", "catalog:n5", "--identities", str(path))
+    assert (code, out, err) == (1, "", error)
+
+
+def test_the_package_exports_lattice_error():
+    import latquot.errors
+
+    assert latquot.LatticeError is latquot.errors.LatticeError
 
 
 def test_deep_operator_chain_is_read_at_any_depth(capsys, tmp_path):

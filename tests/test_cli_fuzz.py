@@ -48,7 +48,8 @@ FLAGS = (
 LATTICE_TEXTS = tuple(dump_lattice_text(resolve(name).lattice) for name in ("n5", "m3", "chain-2"))
 IDENTITY_TEXTS = ("x = y\n", r"x /\ (y \/ z) = (x /\ y) \/ (x /\ z)" "\n",
                   r"x \/ (y /\ z) = (x \/ y) /\ (x \/ z)" "\n", "x = (x\n",
-                  "x = " + "(" * 200 + "x" + ")" * 200 + "\n", "# none\n")
+                  "x = " + "(" * 200 + "x" + ")" * 200 + "\n",
+                  "x = " + r"x /\ (" * 3000 + "x" + ")" * 3000 + "\n", "# none\n")
 
 # fragments of both file formats, so that random text sometimes nearly parses
 FRAGMENTS = ("elements:", "covers:", "0", "a", "b", "1", "0<a", "a<1", "0<b", "b<1", "a<a",

@@ -28,7 +28,7 @@ from latquot import (
     parse_term,
     satisfies,
 )
-from latquot.terms import MAX_DEPTH, IdentitySweep
+from latquot.terms import IdentitySweep
 
 NAMES = ("x", "y", "z", "w")
 
@@ -125,8 +125,8 @@ def test_fixed_identities_match_naive_sweep():
 
 
 def test_max_depth_identity_compiles_and_evaluates():
-    chained = "x" + r" /\ y \/ z" * (MAX_DEPTH // 2)
-    nested = "(" * (MAX_DEPTH - 1) + r"x /\ y" + ")" * (MAX_DEPTH - 1)
+    chained = "x" + r" /\ y \/ z" * 50
+    nested = "(" * 99 + r"x /\ y" + ")" * 99
     lat = n5().lattice
     for text in (chained, nested):
         term = parse_term(text)

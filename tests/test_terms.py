@@ -1,9 +1,13 @@
+import ast
 from dataclasses import make_dataclass
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latquot.terms
+import latquot.textfmt
 from latquot import (
     DISTRIBUTIVE,
     MODULAR,
@@ -23,7 +27,7 @@ from latquot import (
     satisfies,
 )
 from latquot.errors import TermSyntaxError, UnboundVariable
-from latquot.terms import MAX_DEPTH, variables
+from latquot.terms import variables
 
 
 def test_parse_basic():
@@ -54,28 +58,33 @@ def test_parse_errors_have_positions():
         parse_term("a b")
 
 
-def test_deep_nesting_is_a_syntax_error():
-    # the parser recurses once per parenthesis, so parentheses are capped
-    with pytest.raises(TermSyntaxError):
-        parse_term("(" * 3000 + "x" + ")" * 3000)
+def test_deep_nesting_parses():
+    # the reader keeps its pending parentheses on a list, not on the call stack
+    assert parse_term("(" * 10_000 + "x" + ")" * 10_000) == Var("x")
+    text = "(" * 10_000 + "x" + ")" * 9_999
     with pytest.raises(TermSyntaxError) as exc:
-        parse_term("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1))
-    assert exc.value.position == MAX_DEPTH
+        parse_term(text)
+    assert exc.value.position == len(text)
+    assert str(exc.value) == f"expected ')' (at position {len(text)})"
 
 
 def test_operator_chains_parse_at_any_depth():
     # operators nest without parentheses to any depth: no walk over a term recurses
-    for text in ("x" + r" /\ x" * 3000, "x" + r" \/ x" * (MAX_DEPTH + 1)):
+    for text in ("x" + r" /\ x" * 3000, "x" + r" \/ x" * 101):
         term = parse_term(text)
         assert render_term(term) == text
         assert parse_term(render_term(term)) == term
 
 
-def test_nesting_at_the_limit_parses():
-    assert parse_term("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH) == Var("x")
-    chain_term = parse_term("x" + r" /\ y" * MAX_DEPTH)
-    assert variables(chain_term) == ["x", "y"]
-    assert parse_term(render_term(chain_term)) == chain_term
+def test_right_nested_term_round_trips_at_any_depth():
+    term = Var("x")
+    for level in range(3000):
+        term = Meet(Var("xy"[level % 2]), term)
+    text = render_term(term)
+    assert text == (r"y /\ (x /\ (" * 1500)[:-1] + "x" + ")" * 2999
+    parsed = parse_term(text)
+    assert parsed == term and variables(parsed) == ["y", "x"]
+    assert render_term(parsed) == text
 
 
 def deep_chain():
@@ -129,9 +138,118 @@ terms = st.recursive(
 )
 
 
+@st.composite
+def right_nested_chains(draw):
+    """A right-nested chain up to 3000 operators deep, each level's operator
+    and left operand drawn from a short cycle."""
+    kinds = draw(st.lists(st.sampled_from([Meet, Join]), min_size=1, max_size=4))
+    lefts = draw(st.lists(terms, min_size=1, max_size=3))
+    term = draw(terms)
+    for level in range(draw(st.integers(min_value=1, max_value=3000))):
+        term = kinds[level % len(kinds)](lefts[level % len(lefts)], term)
+    return term
+
+
 @given(terms)
 def test_render_parse_round_trip(term):
     assert parse_term(render_term(term)) == term
+
+
+@settings(max_examples=30, deadline=None)
+@given(right_nested_chains())
+def test_deep_chains_render_parse_round_trip(term):
+    assert parse_term(render_term(term)) == term
+
+
+soups = st.lists(st.sampled_from(["x", "y", "(", ")", "/\\", "\\/", "=", " ", "\t"]),
+                 max_size=24).map("".join)
+
+
+@settings(max_examples=500)
+@given(soups)
+def test_token_soups_round_trip_or_fail_inside_the_text(text):
+    # every input either reads back as it renders, or fails at a position in it
+    for read, render in ((parse_term, render_term), (parse_identity, Identity.render)):
+        try:
+            parsed = read(text)
+        except TermSyntaxError as exc:
+            assert 0 <= exc.position <= len(text)
+            assert str(exc).endswith(f" (at position {exc.position})")
+        else:
+            assert read(render(parsed)) == parsed
+
+
+# one row or more for each error the reader raises: the first error in
+# reading order, at its position in the text (in a file, in its line)
+SYNTAX_ERRORS = [
+    (parse_term, "a @ b", "unexpected character '@'", 2),
+    (parse_term, "a = b", "unexpected character '='", 2),
+    (parse_term, "", "expected a variable or '('", 0),
+    (parse_term, r"a /\ ", "expected a variable or '('", 5),
+    (parse_term, r"(\/ a)", "expected a variable or '('", 1),
+    (parse_term, ")", "expected a variable or '('", 0),
+    (parse_term, "a b", "unexpected 'b'", 2),
+    (parse_term, "a (b)", "unexpected '('", 2),
+    (parse_term, "(a b)", "expected ')'", 3),
+    (parse_term, r"(a /\ b (c))", "expected ')'", 8),
+    (parse_term, "a)", "unexpected ')'", 1),
+    (parse_term, "(a", "expected ')'", 2),
+    (parse_term, "a b @", "unexpected 'b'", 2),
+    (parse_identity, "a b = c d", "unexpected 'b'", 2),
+    (parse_identity, "(a = b", "expected ')'", 3),
+    (parse_identity, "a = (b", "expected ')'", 6),
+    (parse_identity, "a = = b", "expected a variable or '('", 4),
+    (parse_identity, "= a", "expected a variable or '('", 0),
+    (parse_identity, "a =", "expected a variable or '('", 3),
+    (parse_identity, "a @ = b", "unexpected character '@'", 2),
+    (parse_identity, r"a /\ b", "an identity needs exactly one '='", 6),
+    (parse_identity, "a = b = c", "an identity needs exactly one '='", 6),
+    (parse_identity_file, "x = x\n\n(x /\\ y = y\n", "line 3: expected ')'", 8),
+    (parse_identity_file, "    x = (x\n", "line 1: expected ')'", 10),
+    (parse_identity_file, "x = (x  # note\n", "line 1: expected ')'", 8),
+    (parse_identity_file, "x = y\n  a = b = c", "line 2: an identity needs exactly one '='", 8),
+]
+
+
+@pytest.mark.parametrize("read, text, message, position", SYNTAX_ERRORS)
+def test_syntax_errors_are_pinned(read, text, message, position):
+    with pytest.raises(TermSyntaxError) as exc:
+        read(text)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
+
+
+def call_cycles(source):
+    """The functions of a module's source that reach themselves through calls
+    by name: ``f()``, or ``obj.f()`` for a method ``f``."""
+    calls = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            callees = calls.setdefault(node.name, set())
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    callee = call.func
+                    callees.add(getattr(callee, "id", getattr(callee, "attr", None)))
+    cyclic = set()
+    for start in calls:
+        seen, stack = set(), list(calls[start])
+        while stack:
+            name = stack.pop()
+            if name == start:
+                cyclic.add(start)
+                break
+            if name in calls and name not in seen:
+                seen.add(name)
+                stack.extend(calls[name])
+    return cyclic
+
+
+def test_the_readers_of_outside_text_do_not_recurse():
+    for module in (latquot.terms, latquot.textfmt):
+        assert call_cycles(Path(module.__file__).read_text()) == set(), module.__name__
+    # a recursive descent through methods is a cycle
+    descent = "class P:\n def term(self):\n  return self.atom()\n def atom(self):\n  return P().term()\n"
+    assert call_cycles(descent) == {"term", "atom"}
 
 
 # the recursive frozen dataclasses that Var, Meet and Join once were

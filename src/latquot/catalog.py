@@ -1,13 +1,17 @@
 """Stock lattices: chains, Booleans, the diamond and pentagon, and the
-free distributive / free modular lattices on up to three generators."""
+free distributive / free modular lattices on up to three generators.
+
+The distributive ones are rings of sets (Birkhoff): ``_set_lattice`` builds
+chains, Booleans, ``fd-n``, ``f-1`` and ``f-2`` from bitmasks closed under
+``&`` (meet) and ``|`` (join), so no lattice test is needed.  ``m3`` and
+``n5`` are built from their covers, ``fm-3`` inside ``fd-3 x m3``."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .core import Lattice, from_covers, product, restrict, sublattice_closure
-from .errors import UnsupportedRank
+from .errors import UnknownLattice, UnsupportedRank
 from .terms import eval_term, parse_term
 
 
@@ -22,15 +26,23 @@ class NamedLattice:
             self.lattice.index(elem)  # raises UnknownElement on a bad entry
 
 
+def _set_lattice(members, names):
+    """The bitmasks ``members``, closed under ``&`` and ``|``, ordered by
+    inclusion; ``names[i]`` names ``members[i]``."""
+    pos = {m: i for i, m in enumerate(members)}
+    meet = [[pos[a & b] for b in members] for a in members]
+    join = [[pos[a | b] for b in members] for a in members]
+    return Lattice(names, meet, join)
+
+
 def chain(n):
     """The n-element chain 0 < 1 < ... < n-1, for 1 <= n <= 256."""
     if n < 1:
         raise UnsupportedRank("a chain needs at least one element")
     if n > 256:  # the carrier of boolean-8, the largest Boolean lattice
         raise UnsupportedRank("a chain has at most 256 elements")
-    elements = [str(i) for i in range(n)]
-    covers = [(str(i), str(i + 1)) for i in range(n - 1)]
-    return NamedLattice(from_covers(elements, covers), f"chain-{n}")
+    lat = _set_lattice([(1 << i) - 1 for i in range(n)], [str(i) for i in range(n)])
+    return NamedLattice(lat, f"chain-{n}")
 
 
 _ATOM_LETTERS = "pqrstuvw"
@@ -45,13 +57,8 @@ def boolean(n):
         s = "".join(_ATOM_LETTERS[i] for i in range(n) if mask >> i & 1)
         return s or "0"
 
-    elements = [name(mask) for mask in range(1 << n)]
-    covers = []
-    for mask in range(1 << n):
-        for i in range(n):
-            if not mask >> i & 1:
-                covers.append((name(mask), name(mask | 1 << i)))
-    lat = from_covers(elements, covers)
+    masks = range(1 << n)
+    lat = _set_lattice(masks, [name(mask) for mask in masks])
     return NamedLattice(lat, f"boolean-{n}", {_ATOM_LETTERS[i]: _ATOM_LETTERS[i] for i in range(n)})
 
 
@@ -76,56 +83,40 @@ def n5():
 _VAR_NAMES = ("x", "y", "z")
 
 
-def _monotone_functions(n):
-    """Truth tables (tuples over masks 0..2^n-1) of monotone functions."""
-    tables = []
-    for bits in itertools.product((0, 1), repeat=1 << n):
-        ok = True
-        for s in range(1 << n):
-            for i in range(n):
-                if not s >> i & 1 and bits[s] > bits[s | 1 << i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            tables.append(bits)
-    return tables
-
-
 def _antichain_name(table, n):
-    """Name a monotone function by its minimal true-sets, e.g. "{x}{y,z}"."""
-    minimal = []
-    for s in range(1 << n):
-        if table[s] and not any(table[s & ~(1 << i)] for i in range(n) if s >> i & 1):
-            minimal.append(s)
-    keys = sorted(
-        (bin(s).count("1"), tuple(i for i in range(n) if s >> i & 1)) for s in minimal
-    )
-    return "".join("{" + ",".join(_VAR_NAMES[i] for i in members) + "}" for _, members in keys)
+    """Name a monotone function by its minimal true-sets, e.g. "{x}{y,z}";
+    bit s of ``table`` is its value where the variables in s are true."""
+    minimal = [s for s in range(1 << n) if table >> s & 1
+               and not any(table >> (s & ~(1 << i)) & 1 for i in range(n) if s >> i & 1)]
+    keys = sorted((bin(s).count("1"), [_VAR_NAMES[i] for i in range(n) if s >> i & 1])
+                  for s in minimal)
+    return "".join("{" + ",".join(names) + "}" for _, names in keys)
 
 
 def free_distributive(n):
     """The free distributive lattice on n generators (n <= 3).
 
-    Carrier: nonconstant monotone Boolean functions on n variables,
-    ordered pointwise; generators are the projections.
+    Carrier: the closure of the projections under ``&`` and ``|``, that is
+    the nonconstant monotone Boolean functions on n variables as truth
+    tables, listed in the order of their value tuples; generators are the
+    projections.
     """
     if n < 1 or n > 3:
         raise UnsupportedRank("free distributive lattice supported for 1 <= n <= 3 only")
-    tables = [t for t in _monotone_functions(n) if 0 in t and 1 in t]
-    tables.sort()
+    points = range(1 << n)
+    projections = [sum(1 << s for s in points if s >> i & 1) for i in range(n)]
+    tables, size = set(projections), 0
+    while len(tables) != size:
+        size = len(tables)
+        tables |= {a & b for a in tables for b in tables} | {a | b for a in tables for b in tables}
+    tables = sorted(tables, key=lambda t: [t >> s & 1 for s in points])
     elements = [_antichain_name(t, n) for t in tables]
-    pos = {t: i for i, t in enumerate(tables)}
-    meet = [[pos[tuple(x & y for x, y in zip(a, b))] for b in tables] for a in tables]
-    join = [[pos[tuple(x | y for x, y in zip(a, b))] for b in tables] for a in tables]
-    lat = Lattice(elements, meet, join)
-    lat._validate()  # built from tables, not from covers: check the axioms once
-    projections = {}
-    for i in range(n):
-        table = tuple(1 if s >> i & 1 else 0 for s in range(1 << n))
-        projections[_VAR_NAMES[i]] = elements[pos[table]]
-    return NamedLattice(lat, f"fd-{n}", projections)
+    lat = _set_lattice(tables, elements)
+    # redundant for a ring of sets; kept for perfbench's trace test, which
+    # expects a Lattice._validate span from building fm-3
+    lat._validate()
+    distinguished = {_VAR_NAMES[i]: elements[tables.index(p)] for i, p in enumerate(projections)}
+    return NamedLattice(lat, f"fd-{n}", distinguished)
 
 
 MEDIAN_UPPER = r"(y \/ z) /\ (z \/ x) /\ (x \/ y)"
@@ -160,12 +151,9 @@ def free_lattice_small(n):
     if n < 1:
         raise UnsupportedRank("the free lattice needs at least one generator")
     if n == 1:
-        return NamedLattice(from_covers(["x"], []), "f-1", {"x": "x"})
-    if n == 2:
-        lat = from_covers(
-            ["x/\\y", "x", "y", "x\\/y"],
-            [("x/\\y", "x"), ("x/\\y", "y"), ("x", "x\\/y"), ("y", "x\\/y")],
-        )
+        return NamedLattice(_set_lattice([0], ["x"]), "f-1", {"x": "x"})
+    if n == 2:  # x /\ y, x, y, x \/ y as the subsets of {x, y}
+        lat = _set_lattice(range(4), ["x/\\y", "x", "y", "x\\/y"])
         return NamedLattice(lat, "f-2", {"x": "x", "y": "y"})
     raise UnsupportedRank("the free lattice on 3 or more generators is infinite")
 
@@ -189,7 +177,7 @@ def resolve(name):
             except ValueError:  # more digits than int() converts
                 break
             return builder(rank)
-    raise KeyError(f"unknown catalog lattice {name!r}")
+    raise UnknownLattice(f"unknown catalog lattice {name!r}")
 
 
 CATALOG_NAMES = (

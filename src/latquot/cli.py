@@ -32,12 +32,23 @@ EXIT_FAIL = 2
 EXIT_SIZE = 3
 
 
-def _read_file(path):
-    """The UTF-8 text of the file ``path``; a decode error is a LatticeError
-    that names the file."""
+def _read_text(path):
+    """The text of the file ``path``, or of stdin for None, decoded as
+    strict UTF-8; a decode error is a LatticeError that names the file or
+    ``<stdin>``."""
+    if path is None:
+        # the bytes: under the C locale a text stdin turns a bad byte into a
+        # lone surrogate; a stream without bytes beneath it gives them back
+        stream, path = sys.stdin, "<stdin>"
+        if stream is None:  # the process was started with stdin closed
+            raise LatticeError("stdin is closed")
+        data = (stream.buffer.read() if hasattr(stream, "buffer")
+                else stream.read().encode("utf-8", "surrogateescape"))
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LatticeError(f"{path}: {exc}") from None
 
@@ -45,18 +56,13 @@ def _read_file(path):
 def load_lattice(source):
     """Load from "catalog:<name>", a file path, or "-" for stdin."""
     if source.startswith("catalog:"):
-        try:
-            return catalog.resolve(source[len("catalog:"):]).lattice
-        except KeyError as exc:
-            raise LatticeError(str(exc)) from None
-    if source == "-":
-        return parse_lattice_text(sys.stdin.read())
-    return parse_lattice_text(_read_file(source))
+        return catalog.resolve(source[len("catalog:"):]).lattice
+    return parse_lattice_text(_read_text(None if source == "-" else source))
 
 
 def load_class(args):
     if getattr(args, "identities", None):
-        return parse_identity_file(_read_file(args.identities))
+        return parse_identity_file(_read_text(args.identities))
     return BUILTIN_CLASSES[getattr(args, "klass", None) or "distributive"]
 
 
@@ -210,11 +216,7 @@ def cmd_catalog(args):
         return EXIT_OK
     if not args.name:
         raise LatticeError("catalog dump needs a lattice name")
-    try:
-        named = catalog.resolve(args.name)
-    except KeyError as exc:
-        raise LatticeError(str(exc)) from None
-    print(dump_lattice_text(named.lattice), end="")
+    print(dump_lattice_text(catalog.resolve(args.name).lattice), end="")
     return EXIT_OK
 
 
@@ -341,7 +343,7 @@ def main(argv=None):
     except SizeLimitExceeded as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except (LatticeError, OSError, UnicodeDecodeError) as exc:
+    except (LatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return code

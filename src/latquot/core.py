@@ -131,12 +131,6 @@ class Lattice:
     def join(self, x, y):
         return self.elements[self.join_table[self.index(x)][self.index(y)]]
 
-    def bottom(self):
-        return self.elements[min(range(len(self)), key=lambda i: bin(self.down[i]).count("1"))]
-
-    def top(self):
-        return self.elements[min(range(len(self)), key=lambda i: bin(self.up[i]).count("1"))]
-
     def covers_i(self):
         """Cover pairs (i, j) with i covered by j, sorted by index.
 

@@ -64,6 +64,13 @@ class UnsupportedRank(LatticeError):
     pass
 
 
+class UnknownLattice(LatticeError, KeyError):
+    """A name that is not in the catalog; a KeyError too, since the catalog
+    is looked up by name."""
+
+    __str__ = LatticeError.__str__  # the message, not KeyError's repr of it
+
+
 class TermSyntaxError(LatticeError):
     def __init__(self, message, position):
         self.position = position

@@ -1,3 +1,5 @@
+from itertools import product as cartesian
+
 import pytest
 
 from latquot import (
@@ -9,6 +11,7 @@ from latquot import (
     free_distributive,
     free_lattice_small,
     free_modular_3,
+    from_covers,
     identity_congruence,
     is_distributive,
     is_isomorphic,
@@ -22,8 +25,14 @@ from latquot import (
 )
 from latquot import catalog as catalog_module
 from latquot.catalog import CATALOG_NAMES
-from latquot.core import Lattice
-from latquot.errors import UnsupportedRank
+from latquot.core import Lattice, is_identifier
+from latquot.errors import LatticeError, UnsupportedRank
+
+# every rank the set constructor builds, chains sampled (chain-256 holds the
+# identifiers of every shorter chain)
+SET_BUILT = ([f"chain-{n}" for n in (*range(1, 18), 31, 64, 100, 255, 256)]
+             + [f"boolean-{n}" for n in range(9)]
+             + ["fd-1", "fd-2", "fd-3", "f-1", "f-2"])
 
 
 def test_chain_and_boolean_basics():
@@ -42,12 +51,67 @@ def test_chain_rank_is_capped_before_building(monkeypatch):
     def refuse(*args):
         raise AssertionError("a chain above the cap was built")
 
-    monkeypatch.setattr(catalog_module, "from_covers", refuse)
+    monkeypatch.setattr(catalog_module, "_set_lattice", refuse)
     for rank in (257, 10 ** 9):
         with pytest.raises(UnsupportedRank):
             chain(rank)
     with pytest.raises(UnsupportedRank):
         resolve("chain-257")
+
+
+def _same_lattice(built, expected):
+    assert built.elements == expected.elements
+    assert built.meet_table == expected.meet_table
+    assert built.join_table == expected.join_table
+    assert (built.down, built.up) == (expected.down, expected.up)
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), 64, 256])
+def test_chains_are_their_textbook_covers(n):
+    names = [str(i) for i in range(n)]
+    _same_lattice(chain(n).lattice, from_covers(names, zip(names, names[1:])))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_booleans_are_their_textbook_covers(n):
+    lat = boolean(n).lattice
+    # element m is the mask m: m < m | bit for every bit outside m
+    covers = [(lat.elements[m], lat.elements[m | 1 << i])
+              for m in range(1 << n) for i in range(n) if not m >> i & 1]
+    _same_lattice(lat, from_covers(lat.elements, covers))
+
+
+def _truth_table(name, n):
+    """The function named by its minimal true-sets, e.g. "{x}{y,z}", as the
+    tuple of its values at the assignments 0..2^n-1 (bit i: variable i)."""
+    sets = [frozenset(part.split(",")) for part in name[1:-1].split("}{")]
+    return tuple(int(any(s <= {"xyz"[i] for i in range(n) if a >> i & 1} for s in sets))
+                 for a in range(1 << n))
+
+
+@pytest.mark.parametrize("n, size", [(1, 1), (2, 4), (3, 18)])
+def test_free_distributive_is_the_nonconstant_monotone_functions(n, size):
+    named = free_distributive(n)
+    lat = named.lattice
+    assert len(lat) == size
+    tables = {e: _truth_table(e, n) for e in lat.elements}
+    # brute force: every truth table, kept if monotone and nonconstant
+    monotone = {t for t in cartesian((0, 1), repeat=1 << n) if 0 in t and 1 in t
+                and all(t[a] <= t[a | 1 << i] for a in range(1 << n) for i in range(n))}
+    assert set(tables.values()) == monotone and len(monotone) == size
+    for a in lat.elements:
+        for b in lat.elements:
+            assert lat.leq(a, b) == all(x <= y for x, y in zip(tables[a], tables[b]))
+    # the projections, and they generate the whole lattice
+    for i, var in enumerate("xyz"[:n]):
+        assert tables[named.distinguished[var]] == tuple(a >> i & 1 for a in range(1 << n))
+    assert len(sublattice_closure(lat, named.distinguished.values())) == size
+
+
+def test_every_identifier_of_every_rank_is_an_identifier():
+    for name in (*SET_BUILT, *CATALOG_NAMES):
+        named = resolve(name)
+        assert all(is_identifier(e) for e in named.lattice.elements), name
 
 
 def test_diamond_and_pentagon():
@@ -130,11 +194,16 @@ def test_resolve_names():
         assert isinstance(named.lattice, Lattice)
     with pytest.raises(KeyError):
         resolve("mystery-9")
+    # a LatticeError too, whose message is not quoted as a KeyError's would be
+    with pytest.raises(LatticeError) as info:
+        resolve("nope")
+    assert str(info.value) == "unknown catalog lattice 'nope'"
 
 
 def test_catalog_validates(catalog):
-    # every constructor output survives full axiom validation
-    for named in catalog:
+    # every constructor output survives full axiom validation; this is why the
+    # set-built lattices are not checked when they are built
+    for named in [*catalog, *map(resolve, SET_BUILT)]:
         lat = named.lattice
         Lattice(lat.elements, lat.meet_table, lat.join_table)._validate()
         for label, elem in named.distinguished.items():

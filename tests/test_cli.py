@@ -388,11 +388,16 @@ def test_oversized_chain_exits_one(capsys):
     assert err == "error: a chain has at most 256 elements\n"
 
 
-def test_bad_inputs_exit_one(capsys):
+def test_bad_inputs_exit_one(capsys, monkeypatch):
     code, _, err = run(capsys, "info", "catalog:mystery-9")
     assert code == 1
+    for argv in (["info", "catalog:nope"], ["catalog", "dump", "nope"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: unknown catalog lattice 'nope'\n"), argv
     code, _, err = run(capsys, "info", "/nonexistent/lattice.txt")
     assert code == 1
+    monkeypatch.setattr("sys.stdin", None)  # as in a process started with stdin closed
+    assert run(capsys, "info", "-") == (1, "", "error: stdin is closed\n")
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -405,7 +410,7 @@ def test_stdin_input(capsys, monkeypatch):
     assert "size=5" in out
 
 
-def test_non_utf8_files_exit_one(capsys, tmp_path):
+def test_non_utf8_files_exit_one(capsys, monkeypatch, tmp_path):
     path = tmp_path / "bytes.txt"
     path.write_bytes(b"\xff\xfe elements: 0 1\n")
     for argv in (["info", str(path)], ["kappa", "catalog:n5", "--identities", str(path)]):
@@ -413,6 +418,14 @@ def test_non_utf8_files_exit_one(capsys, tmp_path):
         assert code == 1 and out == "", argv
         assert err.startswith("error: ") and "can't decode" in err
         assert "Traceback" not in err
+    # stdin as the C and POSIX locales open it: a bad byte would become a
+    # lone surrogate inside an identifier
+    data = b"elements: a\xff b\ncovers: a\xff<b\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), errors="surrogateescape"))
+    code, out, err = run(capsys, "info", "-")
+    assert code == 1 and out == ""
+    assert err.startswith("error: <stdin>: ") and "can't decode" in err
+    assert "Traceback" not in err
 
 
 def test_usage_errors_exit_one_and_help_zero(capsys):

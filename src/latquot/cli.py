@@ -24,7 +24,14 @@ from .core import is_distributive, is_modular, product
 from .errors import LatticeError, SizeLimitExceeded
 from .terms import BUILTIN_CLASSES, parse_identity_file
 from .textfmt import dump_lattice_text, parse_congruence_text, parse_lattice_text, to_dot
-from .variety import check_work, kappa, verify_theorem1, verify_theorem2, verify_theorem3
+from .variety import (
+    charge_kappa,
+    check_work,
+    kappa,
+    verify_theorem1,
+    verify_theorem2,
+    verify_theorem3,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -172,8 +179,13 @@ def cmd_check(args):
         other = load_lattice(args.other)
     elif args.other:
         raise LatticeError(f"check --theorem {args.theorem} takes one lattice")
-    # the largest lattice kappa sweeps: L, or the product for theorem 3
-    check_work(len(lat) * (len(other) if other else 1), spec, args.max_work)
+    if other:
+        # kappa of the product is the largest kappa theorem 3 runs; charged
+        # as kappa charges it, before the product is built
+        charge_kappa(len(lat) * len(other), spec, args.max_work)
+    else:
+        # theorems 1 and 2 sweep quotients of L with the class's identities
+        check_work(len(lat), spec, args.max_work)
     reports = []
     if args.theorem == 1:
         reports.append(verify_theorem1(lat, spec, max_size=args.max_con))
@@ -240,6 +252,9 @@ def _add_max_con(sub):
 _KAPPA_WORK = ("cap on kappa's work: n^2 for the distributive class, else the identity "
                "sweep, the sum of n^k over the identities")
 _BLOCKS_WORK = _KAPPA_WORK + "; for explicit blocks, their check: the sum over blocks B of C(|B|, 2) n"
+_CHECK_WORK = ("cap on the work charged before the check: theorem 3 charges kappa of the "
+               "product as kappa does (n^2 for the distributive class, else the identity sweep); "
+               "theorems 1 and 2 charge the identity sweep of L, the sum of n^k over the identities")
 
 
 def _add_class(sub, work_help=_KAPPA_WORK):
@@ -301,7 +316,7 @@ def build_parser():
     p.add_argument("--theorem", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("lattice")
     p.add_argument("other", nargs="?", help="second lattice (theorem 3)")
-    _add_class(p)
+    _add_class(p, _CHECK_WORK)
     _add_json(p)
     _add_max_con(p)
     p.set_defaults(func=cmd_check)

@@ -2,8 +2,9 @@
 
 A congruence is stored as a canonical partition: ``block_of[i]`` is the
 smallest index in the block of element ``i``.  ``Congruence`` relabels its
-input so, and every builder here hands it raw labels: a key per element
-whose equal keys make one block.  A congruence is computed from its
+input so: a key per element whose equal keys make one block.  The one
+builder that skips it is ``_mask_congruence``, whose labels are the least
+index of each key by construction.  A congruence is computed from its
 D-closed set (Freese, "Computing congruences efficiently", Algebra
 Universalis 59, 2008; Freese, Jezek and Nation, *Free Lattices*, 1995,
 ch. 2).  A congruence theta is determined by the set
@@ -183,9 +184,20 @@ def _congruence_closure(lat, closed, pairs):
 
 def _mask_congruence(lat, closed):
     """The congruence of the D-closed set ``closed``: x and y share a block
-    iff the join-irreducibles below them agree outside ``closed``."""
-    keep = ~closed
-    return Congruence(len(lat), [mask & keep for mask in lat.day().below])
+    iff the join-irreducibles below them agree outside ``closed``.
+
+    Each element is labelled in one pass by the first index whose key
+    J(x) \\ ``closed`` equals its own.  That index is the least of its
+    block, so the labels are already canonical, and the congruence is
+    built without the relabelling pass that ``Congruence(n, labels)``
+    gives every other input.
+    """
+    keep, least = ~closed, {}
+    theta = object.__new__(Congruence)
+    theta.lattice_size = len(lat)
+    theta.block_of = tuple([least.setdefault(mask & keep, i)
+                            for i, mask in enumerate(lat.day().below)])
+    return theta
 
 
 def _closed_set(lat, theta):

@@ -199,7 +199,8 @@ class DayRelation:
     of join-irreducibles at or below element ``x``.  ``pred[t]`` is
     the set of D-predecessors of ``joins[t]``: i D k iff i != k and some p
     has i <= k \\/ p but not i <= k_* \\/ p (Freese, Jezek and Nation,
-    *Free Lattices*, ch. 2).
+    *Free Lattices*, ch. 2).  ``sources`` is the union of ``pred``, the
+    set of D's sources: the D-closed set of delta(L) (``variety.kappa``).
 
     J(L) and j_* are read off ``_lower_stars``.  For each k, the
     i with k \\/ p above them and k_* \\/ p not are ``below[k \\/ p]``
@@ -207,7 +208,7 @@ class DayRelation:
     one per distinct pair (k \\/ p, k_* \\/ p).
     """
 
-    __slots__ = ("joins", "lower", "below", "pred")
+    __slots__ = ("joins", "lower", "below", "pred", "sources")
 
     def __init__(self, lat):
         up, join = lat.up, lat.join_table
@@ -218,14 +219,16 @@ class DayRelation:
         for t, j in enumerate(joins):
             for x in _bits(up[j]):
                 below[x] |= 1 << t
-        pred = []
+        pred, sources = [], 0
         for t, (k, star) in enumerate(zip(joins, lower)):
             mask = 0
             for hi, lo in set(zip(join[k], join[star])):
                 mask |= below[hi] & ~below[lo]
-            pred.append(mask & ~(1 << t))
+            mask &= ~(1 << t)
+            pred.append(mask)
+            sources |= mask
         self.joins, self.lower = tuple(joins), tuple(lower)
-        self.below, self.pred = tuple(below), tuple(pred)
+        self.below, self.pred, self.sources = tuple(below), tuple(pred), sources
 
 
 def _lower_stars(lat):

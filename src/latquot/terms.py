@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, product
 from operator import getitem, itemgetter
-from typing import Union
 
 from .errors import TermSyntaxError, UnboundVariable
 
@@ -62,7 +61,9 @@ class Join(_Node):
     right: "Term"
 
 
-Term = Union[Var, Meet, Join]
+# not typing.Union: its cache would keep these classes, and through them
+# this module, alive after a re-import
+Term = Var | Meet | Join
 
 
 def _fold(term, leaf, node):

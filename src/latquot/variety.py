@@ -112,6 +112,31 @@ def _distributive_verdict(spec):
     return kept["_defines_distributive"]
 
 
+def charge_kappa(size, spec, max_work=None):
+    """The path ``kappa`` takes on a lattice of ``size`` elements, charged
+    against ``max_work``: True for Day's relation, False for the witness
+    loop.  SizeLimitExceeded is raised if the path's charge exceeds the
+    cap.
+
+    The spec is classified only if sweeping 2, M3 and N5 fits the cap (the
+    sum of 2^k + 2 * 5^k over the k-variable identities, ``_sweep_work``);
+    the distributive class is then charged size^2 for Day's relation.  Any
+    other spec, and any spec whose classification does not fit, is charged
+    one full sweep of L (``check_work``).  The cap is tested on every call,
+    before a kept verdict is read, so a spec classified by an earlier call
+    is charged exactly as a fresh one.
+    """
+    # classifying the spec sweeps 2, M3 and N5, so it must fit the cap too
+    if (size >= 5 and (max_work is None or _sweep_work(spec, 2, 5, 5) <= max_work)
+            and _distributive_verdict(spec)):
+        if max_work is not None and size ** 2 > max_work:
+            raise SizeLimitExceeded(
+                f"Day relation over {size ** 2} element pairs exceeds the work cap {max_work}")
+        return True
+    check_work(size, spec, max_work)
+    return False
+
+
 def kappa(lat, spec, max_work=None):
     """Least congruence whose quotient lies in the class.
 
@@ -157,28 +182,13 @@ def kappa(lat, spec, max_work=None):
     loop ends, and it ends on a sweep that finds no failure: that sweep
     is the proof that the quotient by the returned theta is in the class.
 
-    ``max_work`` caps the search, charging the path that runs.  The spec
-    is classified only if sweeping 2, M3 and N5 fits the cap (the sum of
-    2^k + 2 * 5^k over the k-variable identities, ``_sweep_work``); the
-    distributive class is then charged |L|^2 for Day's relation.  Any
-    other spec, and any spec whose classification does not fit, is
-    charged one full sweep of L (``check_work``).  Above the charge, SizeLimitExceeded is raised
-    before L is searched.  The cap is tested on every call, before a kept
-    verdict is read, so a spec classified by an earlier call is charged
-    exactly as a fresh one.
+    ``max_work`` caps the search, charging the path that runs
+    (``charge_kappa``).  Above the charge, SizeLimitExceeded is raised
+    before L is searched.  On the Day path the set S is ``day.sources``,
+    kept with D.
     """
-    size = len(lat)
-    # classifying the spec sweeps 2, M3 and N5, so it must fit the cap too
-    if (size >= 5 and (max_work is None or _sweep_work(spec, 2, 5, 5) <= max_work)
-            and _distributive_verdict(spec)):
-        if max_work is not None and size ** 2 > max_work:
-            raise SizeLimitExceeded(
-                f"Day relation over {size ** 2} element pairs exceeds the work cap {max_work}")
-        sources = 0
-        for preds in lat.day().pred:
-            sources |= preds
-        return _mask_congruence(lat, sources)
-    check_work(size, spec, max_work)
+    if charge_kappa(len(lat), spec, max_work):
+        return _mask_congruence(lat, lat.day().sources)
     closed = 0  # the D-closed set of theta, grown by one forced pair a round
     theta = identity_congruence(lat)
     target, reps = lat, range(len(lat))  # L/identity is L, with the same indices

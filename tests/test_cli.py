@@ -164,13 +164,39 @@ def test_max_work_flag(capsys):
                  ["check", "--theorem", "2", "catalog:n5"]):
         code, _, _ = run(capsys, *argv, "--max-work", "124")
         assert code == 3, argv
-    # theorem 3 sweeps the 25-element product: 25^3 = 15625
-    code, _, _ = run(capsys, "check", "--theorem", "3", "catalog:m3", "catalog:n5",
-                     "--max-work", "15624")
+    # theorem 3 charges kappa of the 25-element product as kappa does:
+    # Day's relation, 25^2 = 625, for the distributive class ...
+    theorem3 = ("check", "--theorem", "3", "catalog:m3", "catalog:n5")
+    code, _, err = run(capsys, *theorem3, "--max-work", "624")
     assert code == 3
-    code, _, _ = run(capsys, "check", "--theorem", "3", "catalog:m3", "catalog:n5",
-                     "--max-work", "15625")
+    assert "Day relation over 625 element pairs exceeds the work cap 624" in err
+    code, _, _ = run(capsys, *theorem3, "--max-work", "625")
     assert code == 0
+    # ... and the sweep, 25^3 = 15625, for the modular class
+    code, _, err = run(capsys, *theorem3, "--class", "modular", "--max-work", "15624")
+    assert code == 3
+    assert "identity sweep of 15625 assignments exceeds the work cap 15624" in err
+    code, _, _ = run(capsys, *theorem3, "--class", "modular", "--max-work", "15625")
+    assert code == 0
+
+
+def test_theorem3_fits_the_default_cap_when_kappa_does(capsys):
+    # the 256-element product is charged 256^2 for Day's relation, not 256^3
+    code, out, _ = run(capsys, "check", "--theorem", "3", "catalog:boolean-4", "catalog:boolean-4")
+    assert code == 0
+    assert "theorem 3: PASS (1 check(s))" in out
+
+
+def test_theorem3_over_the_cap_exits_before_the_product_is_built(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the product was built")
+
+    monkeypatch.setattr(latquot.cli, "product", refuse)
+    monkeypatch.setattr(latquot.variety, "product", refuse)
+    code, out, err = run(capsys, "check", "--theorem", "3", "catalog:chain-256",
+                         "catalog:chain-256")
+    assert code == 3 and out == ""
+    assert "Day relation over 4294967296 element pairs exceeds the work cap 10000000" in err
 
 
 def test_explicit_blocks_are_charged_their_check(capsys):

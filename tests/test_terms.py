@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from dataclasses import make_dataclass
 from pathlib import Path
 
@@ -320,3 +323,26 @@ def test_parse_identity_file():
 def test_parse_identity_needs_one_equals():
     with pytest.raises(TermSyntaxError):
         parse_identity_file("x = y = z\n")
+
+
+_REIMPORT = """
+import gc, sys, weakref
+import latquot
+old_var = weakref.ref(latquot.terms.Var)
+for name in [m for m in sys.modules if m == "latquot" or m.startswith("latquot.")]:
+    del sys.modules[name]
+import latquot
+gc.collect()
+print("alive" if old_var() is not None else "collected")
+"""
+
+
+def test_a_reimport_frees_the_earlier_term_classes():
+    # typing.Union[...] is memoised in typing's cache, which would hold the
+    # old classes and, through their methods' globals, the old module
+    src = os.path.dirname(os.path.dirname(latquot.terms.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", _REIMPORT], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "collected"), proc.stderr

@@ -22,12 +22,14 @@ compatibility with meet and join, and ``cong_join`` still re-checks its
 result; ``quotient`` trusts its congruence and does not re-validate
 L/theta.
 
-``Con(L)`` is the join-closure of the distinct congruences
-``con(j_*, j)``, one for each join-irreducible ``j`` with its one lower
-cover ``j_*``.  The closure skips a generator for a congruence theta that
-already collapses its pair ``(j_*, j)``: the generator is the least
-congruence doing so, so it lies below theta and their join is theta
-itself.
+When D has no edge, that is when L is distributive, every subset of J(L)
+is D-closed, and ``Con(L)`` is listed as the congruences of the
+2^|J(L)| subsets with no join.  Any other ``Con(L)`` is the join-closure
+of the distinct congruences ``con(j_*, j)``, one for each
+join-irreducible ``j`` with its one lower cover ``j_*``.  The closure
+skips a generator for a congruence theta that already collapses its pair
+``(j_*, j)``: the generator is the least congruence doing so, so it lies
+below theta and their join is theta itself.
 """
 
 from __future__ import annotations
@@ -302,32 +304,48 @@ def join_irreducible_congruences(lat):
 def all_congruences(lat, max_size=12):
     """The whole congruence lattice Con(L), enumerated exactly.
 
-    Join-closure of ``join_irreducible_congruences``: every congruence of
-    a finite lattice is the join of the principal congruences of the
-    covers it collapses, and each of those is some con(j_*, j).  A
-    generator is not joined to a theta that already collapses its pair
-    (j_*, j): the generator is the least congruence collapsing that pair,
-    so it lies below theta, and theta \\/ con(j_*, j) = theta is already
-    found.  Output is sorted by (block count descending, canonical
-    labeling) for determinism.
+    When Day's relation D has no edge (``day.sources == 0``), L is
+    distributive and Con(L) is the Boolean lattice of all subsets S of
+    J(L): each S is D-closed, so theta_S is a congruence, and
+    S = {j : j_* theta_S j} recovers S, so the 2^|J(L)| congruences are
+    distinct, and every congruence is some theta_S.  D has no edge exactly
+    when L is distributive, that is, when every join-irreducible is
+    join-prime.  A join-prime j has no D-successor: j <= k \\/ p gives
+    j <= p or j < k, and either way j <= k_* \\/ p.  A join-irreducible
+    j <= a \\/ b below neither a nor b is a D-source: of the k in J(a) and
+    p >= b with j <= k \\/ p and j not <= p, a minimal k has j not
+    <= k_* \\/ p, and k != j since k <= a.
+
+    Every other Con(L) is the join-closure of
+    ``join_irreducible_congruences``: every congruence of a finite lattice
+    is the join of the principal congruences of the covers it collapses,
+    and each of those is some con(j_*, j).  A generator is not joined to a
+    theta that already collapses its pair (j_*, j): the generator is the
+    least congruence collapsing that pair, so it lies below theta, and
+    theta \\/ con(j_*, j) = theta is already found.  Output is sorted by
+    (block count descending, canonical labeling) for determinism.
     """
     if len(lat) > max_size:
         raise SizeLimitExceeded(
             f"|L| = {len(lat)} exceeds the enumeration cap {max_size}"
         )
-    generators = _generator_pairs(lat).items()
-    seen = {identity_congruence(lat)}
-    work = list(seen)
-    while work:
-        theta = work.pop()
-        block_of = theta.block_of
-        for gen, (lo, j) in generators:
-            if block_of[lo] == block_of[j]:
-                continue
-            merged = cong_join(lat, theta, gen)
-            if merged not in seen:
-                seen.add(merged)
-                work.append(merged)
+    day = lat.day()
+    if day.sources == 0:
+        seen = [_mask_congruence(lat, s) for s in range(1 << len(day.joins))]
+    else:
+        generators = _generator_pairs(lat).items()
+        seen = {identity_congruence(lat)}
+        work = list(seen)
+        while work:
+            theta = work.pop()
+            block_of = theta.block_of
+            for gen, (lo, j) in generators:
+                if block_of[lo] == block_of[j]:
+                    continue
+                merged = cong_join(lat, theta, gen)
+                if merged not in seen:
+                    seen.add(merged)
+                    work.append(merged)
     return sorted(seen, key=lambda t: (-t.num_blocks(), t.block_of))
 
 

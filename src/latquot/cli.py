@@ -246,7 +246,8 @@ def cap(text):
 
 def _add_max_con(sub):
     sub.add_argument("--max-con", type=cap, default=12, metavar="N",
-                     help="congruence enumeration cap (default 12)")
+                     help="largest |L| whose congruences are listed (default 12); a distributive L "
+                          "has 2^|J(L)| of them")
 
 
 _KAPPA_WORK = ("cap on kappa's work: n^2 for the distributive class, else the identity "

@@ -258,7 +258,8 @@ def cong_join(lat, t1, t2):
         raise LatticeMismatch("congruence is for a different lattice")
     pairs = [(i, r) for theta in (t1, t2) for i, r in enumerate(theta.block_of) if i != r]
     joined = _mask_congruence(lat, _congruence_closure(lat, 0, pairs))
-    # always None; the O(n^3) re-check goes once the benchmark bounds its memory (ROADMAP item 1)
+    # always None; the O(n^3) re-check goes once the benchmark's Record bounds
+    # its memory (ROADMAP item 2)
     witness = congruence_witness(lat, joined)
     if witness is not None:
         raise NotACongruence(witness)

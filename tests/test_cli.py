@@ -302,6 +302,35 @@ def test_quotient_rejects_non_congruence(capsys):
     assert "congruence" in err
 
 
+@pytest.mark.parametrize("text, error", [
+    ("elements: a b\nelements: a b\ncovers: a<b\n", "line 2: duplicate elements line"),
+    ("elements: a b\ncovers: a<b\ncovers: a<b\n", "line 3: duplicate covers line"),
+    ("elements:\n", "empty carrier is not a lattice"),
+])
+def test_malformed_lattice_files_exit_one(capsys, tmp_path, text, error):
+    path = tmp_path / "bad.lat"
+    path.write_text(text)
+    assert run(capsys, "info", str(path)) == (1, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("blocks, error", [
+    ("{a)", "block closed by ')', not '}'"),
+    ("{a,}", "empty member in congruence block"),
+])
+def test_malformed_blocks_exit_one(capsys, blocks, error):
+    assert run(capsys, "quotient", "catalog:n5", blocks) == (1, "", f"error: {error}\n")
+
+
+def test_delta_names_no_generator_of_a_non_principal_kappa(capsys, tmp_path):
+    # two pentagons stacked at m: delta collapses a,b and a2,b2, and no one
+    # pair generates both
+    path = tmp_path / "stacked.lat"
+    path.write_text("elements: 0 a b c m a2 b2 c2 1\n"
+                    "covers: 0<b b<a a<m 0<c c<m m<b2 b2<a2 a2<1 m<c2 c2<1\n")
+    assert run(capsys, "delta", str(path)) == (
+        0, "kappa={0}{a,b}{c}{m}{a2,b2}{c2}{1}\nquotient_size=7\nprincipal=no\n", "")
+
+
 def test_quotient_output_revalidates(capsys):
     for name in ("n5", "m3", "fm-3"):
         code, out, _ = run(capsys, "quotient", f"catalog:{name}", "delta")

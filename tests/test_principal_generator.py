@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from latquot import (
     MODULAR,
+    chain,
     cong_join,
+    congruence_from_blocks,
     delta,
     join_irreducible_congruences,
     kappa,
@@ -41,3 +43,11 @@ def test_principal_generator_is_the_first_principal_pair(lat, data):
         thetas.append(cong_join(lat, data.draw(pick), data.draw(pick)))
     for theta in thetas:
         assert principal_generator(lat, theta) == first_principal_pair(lat, theta)
+
+
+def test_a_join_of_two_disjoint_collapses_has_no_generator():
+    # on the chain 0 < 1 < 2 < 3, theta(a, b) collapses the whole interval
+    # [a, b], so no one pair glues 0 to 1 and 2 to 3 without 1 to 2
+    lat = chain(4).lattice
+    theta = congruence_from_blocks(lat, [["0", "1"], ["2", "3"]])
+    assert principal_generator(lat, theta) is None

@@ -5,6 +5,9 @@ itself with the up-set of ``kappa``, and ``all_congruences`` is trusted to
 be all of Con(L).  These tests guard each fact on random lattices.
 """
 
+import itertools
+from unittest.mock import patch
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,12 +16,15 @@ from latquot import (
     MODULAR,
     all_congruences,
     class_filter,
+    cong_meet,
     is_isomorphic,
     kappa,
     leq_congruence,
     product,
     push_congruence,
     quotient,
+    variety,
+    verify_theorem1,
     verify_theorem2,
     verify_theorem3,
 )
@@ -74,6 +80,32 @@ def test_class_filter_is_the_upset_of_kappa(lat):
         kap = kappa(lat, spec)
         expected = [t for t in cons if leq_congruence(kap, t)]
         assert class_filter(lat, spec, max_size=MAX_ELEMENTS) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices(max_elements=10), st.data())
+def test_theorem1_verdict_is_the_three_filter_properties(lat, data):
+    # verify_theorem1 asks that F be the up-set of its meet and the meet be
+    # kappa; with F and kappa drawn, its verdict must be that of asking F to
+    # be an up-set, closed under binary meets, and the up-set of kappa,
+    # decided here on partitions
+    cons = all_congruences(lat, max_size=10)
+    base = data.draw(st.sampled_from(cons))
+    if data.draw(st.booleans()):  # the up-set of a congruence, up to two members toggled
+        upset = {i for i, t in enumerate(cons) if leq_congruence(base, t)}
+        inside = upset ^ data.draw(st.sets(st.sampled_from(range(len(cons))), max_size=2))
+    else:  # any subset, the empty one included
+        inside = data.draw(st.sets(st.sampled_from(range(len(cons)))))
+    filtered = [t for i, t in enumerate(cons) if i in inside]
+    kap = data.draw(st.one_of(st.just(base), st.sampled_from(cons)))
+    members = set(filtered)
+    is_upset = all(t in members for s in filtered for t in cons if leq_congruence(s, t))
+    meet_closed = all(cong_meet(s, t) in members for s, t in itertools.combinations(filtered, 2))
+    is_upset_of_kappa = filtered == [t for t in cons if leq_congruence(kap, t)]
+    with patch.object(variety, "_in_class", lambda lat, cons, spec: filtered), \
+            patch.object(variety, "kappa", lambda lat, spec: kap):
+        report = verify_theorem1(lat, DISTRIBUTIVE, max_size=10)
+    assert report.ok == (is_upset and meet_closed and is_upset_of_kappa), report.details
 
 
 @settings(max_examples=60, deadline=5000)

@@ -6,6 +6,7 @@ from latquot import (
     DISTRIBUTIVE,
     MODULAR,
     ClassSpec,
+    Congruence,
     all_congruences,
     boolean,
     chain,
@@ -296,8 +297,35 @@ def test_theorem1_names_a_filter_that_is_not_the_upset_of_kappa(monkeypatch):
     report = verify_theorem1(lat, DISTRIBUTIVE)
     assert not report.ok
     assert report.details == [
-        "not the up-set of kappa {0}{a}{b}{c}{1}",
+        "the filter's meet {0}{a,b}{c}{1} is not kappa {0}{a}{b}{c}{1}",
         "filter size 4 of 5 congruences",
+    ]
+
+
+def test_theorem1_names_a_congruence_above_the_meet_outside_the_filter(monkeypatch):
+    # the full congruence is dropped from n5's filter: the meet is still
+    # delta, so only the up-set line fires, and it names the dropped member
+    lat = n5().lattice
+    in_class = variety._in_class
+    monkeypatch.setattr(variety, "_in_class",
+                        lambda lat, cons, spec: in_class(lat, cons, spec)[:-1])
+    report = verify_theorem1(lat, DISTRIBUTIVE)
+    assert not report.ok
+    assert report.details == [
+        "above the filter's meet {0}{a,b}{c}{1} but outside the filter: {0,a,b,c,1}",
+        "filter size 3 of 5 congruences",
+    ]
+
+
+def test_theorem1_reads_an_empty_filter_as_the_full_congruence(monkeypatch):
+    lat = n5().lattice
+    monkeypatch.setattr(variety, "_in_class", lambda lat, cons, spec: [])
+    report = verify_theorem1(lat, DISTRIBUTIVE)
+    assert not report.ok
+    assert report.details == [
+        "above the filter's meet {0,a,b,c,1} but outside the filter: {0,a,b,c,1}",
+        "the filter's meet {0,a,b,c,1} is not kappa {0}{a,b}{c}{1}",
+        "filter size 0 of 5 congruences",
     ]
 
 
@@ -307,6 +335,21 @@ def test_theorem2_pentagon_and_edge_cases():
     assert verify_theorem2(lat, theta, DISTRIBUTIVE).ok
     assert verify_theorem2(lat, identity_congruence(lat), DISTRIBUTIVE).ok
     assert verify_theorem2(lat, full_congruence(lat), DISTRIBUTIVE).ok
+
+
+def test_theorem2_joins_kappa_and_theta_as_the_union_of_their_closed_sets(monkeypatch):
+    # kappa reads the identity on n5 itself only, so the pushed join is the
+    # identity of L/identity, while kappa of that quotient is still delta
+    lat = n5().lattice
+    real = variety.kappa
+    monkeypatch.setattr(variety, "kappa", lambda l, spec: identity_congruence(l) if l is lat
+                        else real(l, spec))
+    report = verify_theorem2(lat, identity_congruence(lat), DISTRIBUTIVE)
+    assert not report.ok
+    assert report.details == [
+        "mismatch on quotient by {0}{a}{b}{c}{1}: "
+        "direct {[0]}{[a],[b]}{[c]}{[1]} vs pushed {[0]}{[a]}{[b]}{[c]}{[1]}"
+    ]
 
 
 def test_theorem2_exhaustive():
@@ -355,6 +398,37 @@ def test_theorem3_singleton_factor():
     lat = n5().lattice
     report = verify_theorem3(lat, from_covers(["*"], []), DISTRIBUTIVE)
     assert report.ok
+
+
+def test_theorem3_names_a_wrong_kappa_of_the_product(monkeypatch):
+    l1, l2 = n5().lattice, chain(2).lattice
+    real = variety.kappa
+    monkeypatch.setattr(variety, "kappa", lambda l, spec: identity_congruence(l)
+                        if len(l) == len(l1) * len(l2) else real(l, spec))
+    report = verify_theorem3(l1, l2, DISTRIBUTIVE)
+    assert not report.ok
+    assert report.details == [
+        "kappa of the product is {(0,0)}{(0,1)}{(a,0)}{(a,1)}{(b,0)}{(b,1)}{(c,0)}{(c,1)}"
+        "{(1,0)}{(1,1)}, product of kappas is {(0,0)}{(0,1)}{(a,0),(b,0)}{(a,1),(b,1)}"
+        "{(c,0)}{(c,1)}{(1,0)}{(1,1)}",
+        "factored all 10 product congruences",
+    ]
+
+
+def test_theorem3_names_a_product_congruence_that_does_not_factor(monkeypatch):
+    # (0,1) and (1,0) differ in both coordinates, so no t x 0 or 0 x t
+    # glues them alone
+    l1 = l2 = chain(2).lattice
+    real = variety.join_irreducible_congruences
+    odd = Congruence(4, [0, 1, 1, 3])
+    monkeypatch.setattr(variety, "join_irreducible_congruences",
+                        lambda l: real(l) + [odd] if len(l) == 4 else real(l))
+    report = verify_theorem3(l1, l2, DISTRIBUTIVE)
+    assert not report.ok
+    assert report.details == [
+        "unfactorable product congruence: {(0,0)}{(0,1),(1,0)}{(1,1)}",
+        "factored all 4 product congruences",
+    ]
 
 
 def test_inconsistent_identity_collapses(catalog):

@@ -84,6 +84,19 @@ def load_congruence(lat, text, args):
     return congruence_from_blocks(lat, blocks)
 
 
+def _congruences(lat, args):
+    """Con(L) under both caps: ``--max-con`` on |L|, and ``--max-work`` on
+    the |Con L| |L| labels the list holds, so that it is refused by its
+    length before it is built."""
+    return all_congruences(lat, args.max_con, _count_cap(len(lat), args))
+
+
+def _count_cap(size, args):
+    """The most congruences of a ``size``-element lattice that fit
+    ``--max-work``: c congruences hold c * size labels."""
+    return args.max_work // size
+
+
 def _yesno(flag):
     return "yes" if flag else "no"
 
@@ -101,7 +114,7 @@ def cmd_info(args):
     dist, mod = is_distributive(lat), is_modular(lat)
     covers = sum(map(len, lat.cover_lists()[0]))  # kept by is_modular
     try:
-        con_size = len(all_congruences(lat, max_size=args.max_con))
+        con_size = len(_congruences(lat, args))
     except SizeLimitExceeded:
         con_size = None
     line = (
@@ -163,7 +176,7 @@ def cmd_product(args):
 
 def cmd_congruences(args):
     lat = load_lattice(args.lattice)
-    cons = all_congruences(lat, max_size=args.max_con)
+    cons = _congruences(lat, args)
     rendered = [theta.render(lat) for theta in cons]
     _emit(args, rendered, {"congruences": rendered, "count": len(rendered)})
     return EXIT_OK
@@ -188,16 +201,18 @@ def cmd_check(args):
         check_work(len(lat), spec, args.max_work)
     reports = []
     if args.theorem == 1:
-        reports.append(verify_theorem1(lat, spec, max_size=args.max_con))
+        reports.append(verify_theorem1(lat, spec, args.max_con, _count_cap(len(lat), args)))
     elif args.theorem == 2:
         try:
-            thetas = all_congruences(lat, max_size=args.max_con)
+            thetas = _congruences(lat, args)
         except SizeLimitExceeded:
             thetas = join_irreducible_congruences(lat)
         for theta in thetas:
             reports.append(verify_theorem2(lat, theta, spec))
     else:
-        reports.append(verify_theorem3(lat, other, spec, max_size=args.max_con))
+        # one cap for both factors' lists: the larger factor's
+        count_cap = _count_cap(max(len(lat), len(other)), args)
+        reports.append(verify_theorem3(lat, other, spec, args.max_con, count_cap))
     ok = all(r.ok for r in reports)
     lines = []
     for r in reports:
@@ -255,7 +270,9 @@ _KAPPA_WORK = ("cap on kappa's work: n^2 for the distributive class, else the id
 _BLOCKS_WORK = _KAPPA_WORK + "; for explicit blocks, their check: the sum over blocks B of C(|B|, 2) n"
 _CHECK_WORK = ("cap on the work charged before the check: theorem 3 charges kappa of the "
                "product as kappa does (n^2 for the distributive class, else the identity sweep); "
-               "theorems 1 and 2 charge the identity sweep of L, the sum of n^k over the identities")
+               "theorems 1 and 2 charge the identity sweep of L, the sum of n^k over the identities; "
+               "each list of Con(L) is charged on its own, |Con L| n labels")
+_LIST_WORK = "cap on the list of Con(L): |Con L| n labels"
 
 
 def _add_class(sub, work_help=_KAPPA_WORK):
@@ -284,6 +301,7 @@ def build_parser():
     p.add_argument("lattice")
     _add_json(p)
     _add_max_con(p)
+    _add_max_work(p, _LIST_WORK + "; above it |Con| prints n/a")
     p.set_defaults(func=cmd_info)
 
     for name in ("delta", "kappa"):
@@ -311,6 +329,7 @@ def build_parser():
     p.add_argument("lattice")
     _add_json(p)
     _add_max_con(p)
+    _add_max_work(p, _LIST_WORK)
     p.set_defaults(func=cmd_congruences)
 
     p = subs.add_parser("check", help="verify a structural theorem")

@@ -3,11 +3,12 @@
 A congruence is stored as a canonical partition: ``block_of[i]`` is the
 smallest index in the block of element ``i``.  ``Congruence`` relabels its
 input so: a key per element whose equal keys make one block.  The one
-builder that skips it is ``_mask_congruence``, whose labels are the least
-index of each key by construction.  A congruence is computed from its
-D-closed set (Freese, "Computing congruences efficiently", Algebra
-Universalis 59, 2008; Freese, Jezek and Nation, *Free Lattices*, 1995,
-ch. 2).  A congruence theta is determined by the set
+builder that skips it is ``_canonical_congruence``, which wraps the labels
+of ``DayRelation.labels``, the least index of each key by construction.
+A congruence is computed from its D-closed set (Freese, "Computing
+congruences efficiently", Algebra Universalis 59, 2008; Freese, Jezek and
+Nation, *Free Lattices*, 1995, ch. 2).  A congruence theta is determined
+by the set
 S = {j in J(L) : j_* theta j} of join-irreducibles it collapses onto
 their lower covers, and x theta y iff the join-irreducibles below x and
 below y agree outside S, so the partition is one pass that keys each x
@@ -24,7 +25,8 @@ L/theta.
 
 When D has no edge, that is when L is distributive, every subset of J(L)
 is D-closed, and ``Con(L)`` is listed as the congruences of the
-2^|J(L)| subsets with no join.  Any other ``Con(L)`` is the join-closure
+2^|J(L)| subsets with no join, or refused by that length before any is
+built.  Any other ``Con(L)`` is the join-closure
 of the distinct congruences ``con(j_*, j)``, one for each
 join-irreducible ``j`` with its one lower cover ``j_*``.  The closure
 skips a generator for a congruence theta that already collapses its pair
@@ -184,22 +186,22 @@ def _congruence_closure(lat, closed, pairs):
     return closed
 
 
+def _canonical_congruence(labels):
+    """A new Congruence holding the tuple ``labels``, which must already be
+    canonical (each the least index of its block), so that it skips the
+    relabelling pass that ``Congruence(n, labels)`` gives every other
+    input.  Congruences are immutable, so the tuple may be shared."""
+    theta = object.__new__(Congruence)
+    theta.lattice_size = len(labels)
+    theta.block_of = labels
+    return theta
+
+
 def _mask_congruence(lat, closed):
     """The congruence of the D-closed set ``closed``: x and y share a block
-    iff the join-irreducibles below them agree outside ``closed``.
-
-    Each element is labelled in one pass by the first index whose key
-    J(x) \\ ``closed`` equals its own.  That index is the least of its
-    block, so the labels are already canonical, and the congruence is
-    built without the relabelling pass that ``Congruence(n, labels)``
-    gives every other input.
-    """
-    keep, least = ~closed, {}
-    theta = object.__new__(Congruence)
-    theta.lattice_size = len(lat)
-    theta.block_of = tuple([least.setdefault(mask & keep, i)
-                            for i, mask in enumerate(lat.day().below)])
-    return theta
+    iff the join-irreducibles below them agree outside ``closed``, labelled
+    in one pass by ``DayRelation.labels``."""
+    return _canonical_congruence(lat.day().labels(closed))
 
 
 def _closed_set(lat, theta):
@@ -302,7 +304,7 @@ def join_irreducible_congruences(lat):
     return list(_generator_pairs(lat))
 
 
-def all_congruences(lat, max_size=12):
+def all_congruences(lat, max_size=12, max_count=None):
     """The whole congruence lattice Con(L), enumerated exactly.
 
     When Day's relation D has no edge (``day.sources == 0``), L is
@@ -325,6 +327,11 @@ def all_congruences(lat, max_size=12):
     least congruence collapsing that pair, so it lies below theta, and
     theta \\/ con(j_*, j) = theta is already found.  Output is sorted by
     (block count descending, canonical labeling) for determinism.
+
+    SizeLimitExceeded is raised when |L| exceeds ``max_size``, or when
+    |Con L| exceeds ``max_count`` (None: no cap).  A distributive Con(L) is
+    refused by its length 2^|J(L)| before any congruence is built; the join
+    closure is refused once it has found one congruence more than the cap.
     """
     if len(lat) > max_size:
         raise SizeLimitExceeded(
@@ -332,7 +339,10 @@ def all_congruences(lat, max_size=12):
         )
     day = lat.day()
     if day.sources == 0:
-        seen = [_mask_congruence(lat, s) for s in range(1 << len(day.joins))]
+        count = 1 << len(day.joins)
+        if max_count is not None and count > max_count:
+            raise SizeLimitExceeded(f"|Con L| = {count} exceeds the count cap {max_count}")
+        seen = [_mask_congruence(lat, s) for s in range(count)]
     else:
         generators = _generator_pairs(lat).items()
         seen = {identity_congruence(lat)}
@@ -346,6 +356,9 @@ def all_congruences(lat, max_size=12):
                 merged = cong_join(lat, theta, gen)
                 if merged not in seen:
                     seen.add(merged)
+                    if max_count is not None and len(seen) > max_count:
+                        raise SizeLimitExceeded(
+                            f"|Con L| exceeds the count cap {max_count}")
                     work.append(merged)
     return sorted(seen, key=lambda t: (-t.num_blocks(), t.block_of))
 

@@ -3,7 +3,8 @@
 A lattice is stored densely: an ordered tuple of element identifiers and
 total meet/join tables of indices.  The tables are the data; the order is
 derived from the meet table once, at construction, as per-element bitsets,
-unless the builder already holds them (``from_covers``).
+unless the builder already holds them (``from_covers``, ``product`` and
+the rings of sets of ``catalog``).
 All public operations take and return identifiers; indices are internal.
 Instances are immutable after construction.  Each order fact is decided
 in one place: ``from_covers`` closes the order and finds cycles in one
@@ -65,9 +66,10 @@ class Lattice:
     the indices below / above element ``i`` (inclusive), derived unless a
     builder that already holds them passes them as ``_order=(down, up)``.
     Day's relation (``day``) and the cover lists (``cover_lists``) are
-    built on first use and kept.  The tables are trusted, and so are given
-    bitsets; ``_validate`` checks the lattice axioms on them.  The
-    identifiers are trusted as well: ``is_identifier`` is checked by
+    built on first use and kept, and so are delta's labels, on Day's
+    relation (``DayRelation.delta_labels``).  The tables are trusted, and
+    so are given bitsets; ``_validate`` checks the lattice axioms on them.
+    The identifiers are trusted as well: ``is_identifier`` is checked by
     ``from_covers``, not here.  Use :func:`from_covers` (or the
     constructors in :mod:`latquot.catalog`) to build a lattice from Hasse
     data.
@@ -206,9 +208,14 @@ class DayRelation:
     i with k \\/ p above them and k_* \\/ p not are ``below[k \\/ p]``
     without ``below[k_* \\/ p]``, so D takes O(|J| n) mask operations,
     one per distinct pair (k \\/ p, k_* \\/ p).
+
+    ``labels`` is the one labeller of a D-closed set's congruence.
+    delta(L)'s labels, ``labels(sources)``, are a function of D alone, so
+    ``delta_labels`` builds them on its first call and keeps them here; a
+    lattice that never asks for delta never builds them.
     """
 
-    __slots__ = ("joins", "lower", "below", "pred", "sources")
+    __slots__ = ("joins", "lower", "below", "pred", "sources", "_delta")
 
     def __init__(self, lat):
         up, join = lat.up, lat.join_table
@@ -229,6 +236,23 @@ class DayRelation:
             sources |= mask
         self.joins, self.lower = tuple(joins), tuple(lower)
         self.below, self.pred, self.sources = tuple(below), tuple(pred), sources
+        self._delta = None
+
+    def labels(self, closed):
+        """The canonical labels of the congruence of the D-closed set
+        ``closed``: x and y share a block iff the join-irreducibles below
+        them agree outside ``closed``.  Each element is labelled in one pass
+        by the first index whose key J(x) \\ ``closed`` equals its own,
+        which is the least index of its block."""
+        keep, least = ~closed, {}
+        return tuple([least.setdefault(mask & keep, i) for i, mask in enumerate(self.below)])
+
+    def delta_labels(self):
+        """``labels(sources)``, the labels of delta(L): built on the first
+        call and kept."""
+        if self._delta is None:
+            self._delta = self.labels(self.sources)
+        return self._delta
 
 
 def _lower_stars(lat):
@@ -332,7 +356,13 @@ def product(l1, l2):
     # (i1, j1) is index i1 * n2 + j1, so rows pair up row-major as well
     meet = [[x * n2 + y for x in r1 for y in r2] for r1 in l1.meet_table for r2 in l2.meet_table]
     join = [[x * n2 + y for x in r1 for y in r2] for r1 in l1.join_table for r2 in l2.join_table]
-    return Lattice(elements, meet, join)
+    # the down-set of (i1, j1) is down1[i1] x down2[j1]: with the bits of
+    # down1[i1] spread n2 apart, the product of the two masks has no carries
+    order = []
+    for own, other in ((l1.down, l2.down), (l1.up, l2.up)):
+        spread = [sum(1 << (i * n2) for i in _bits(mask)) for mask in own]
+        order.append([a * b for a in spread for b in other])
+    return Lattice(elements, meet, join, _order=order)
 
 
 def _bits(mask):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .catalog import chain, m3, n5
 from .congruence import (
     Congruence,
+    _canonical_congruence,
     _closed_set,
     _congruence_closure,
     _mask_congruence,
@@ -184,10 +185,13 @@ def kappa(lat, spec, max_work=None):
     ``max_work`` caps the search, charging the path that runs
     (``charge_kappa``).  Above the charge, SizeLimitExceeded is raised
     before L is searched.  On the Day path the set S is ``day.sources``,
-    kept with D.
+    and its labels are ``day.delta_labels()``, both kept with D: each call
+    returns a new Congruence that shares the kept tuple of labels, so L is
+    labelled once however often delta(L) is asked for.  The witness loop
+    keeps nothing.
     """
     if charge_kappa(len(lat), spec, max_work):
-        return _mask_congruence(lat, lat.day().sources)
+        return _canonical_congruence(lat.day().delta_labels())
     closed = 0  # the D-closed set of theta, grown by one forced pair a round
     theta = identity_congruence(lat)
     target, reps = lat, range(len(lat))  # L/identity is L, with the same indices
@@ -213,15 +217,16 @@ def _in_class(lat, cons, spec):
             if _first_failure(quotient(lat, theta).target, spec.sweeps) is None]
 
 
-def class_filter(lat, spec, max_size=12):
+def class_filter(lat, spec, max_size=12, max_count=None):
     """All congruences whose quotient lies in the class, in the order of
-    ``all_congruences``.  That they are the principal up-set of ``kappa``
-    is checked by ``verify_theorem1``, not on every call.
+    ``all_congruences``, under its two caps.  That they are the principal
+    up-set of ``kappa`` is checked by ``verify_theorem1``, not on every
+    call.
     """
-    return _in_class(lat, all_congruences(lat, max_size=max_size), spec)
+    return _in_class(lat, all_congruences(lat, max_size, max_count), spec)
 
 
-def kappa_oracle(lat, spec, max_size=12):
+def kappa_oracle(lat, spec, max_size=12, max_count=None):
     """kappa by brute force: the meet of ``class_filter``.
 
     The filter is the principal up-set of kappa (Theorem 1), so its meet
@@ -229,7 +234,7 @@ def kappa_oracle(lat, spec, max_size=12):
     every call.  Independent of ``kappa``: it sweeps every quotient, not a
     witness-driven sequence.
     """
-    filtered = class_filter(lat, spec, max_size=max_size)
+    filtered = class_filter(lat, spec, max_size, max_count)
     result = filtered[0]
     for theta in filtered[1:]:
         result = cong_meet(result, theta)
@@ -252,10 +257,11 @@ class Report:
         self.details.append(message)
 
 
-def verify_theorem1(lat, spec, max_size=12):
+def verify_theorem1(lat, spec, max_size=12, max_count=None):
     """The class-quotient congruences form the principal up-set of kappa.
 
-    On one enumeration of Con(L), checks that the filter F is the set of
+    On one enumeration of Con(L), under ``all_congruences``' caps
+    ``max_size`` and ``max_count``, checks that the filter F is the set of
     congruences above its meet m, and that m is kappa.  The verdict is that
     of asking F to be an up-set, closed under binary meets, and the up-set
     of kappa, since an up-set of the finite Con(L) closed under binary
@@ -264,7 +270,7 @@ def verify_theorem1(lat, spec, max_size=12):
     of the members', started from all of J(L) (the full congruence).
     """
     report = Report("filter-structure", True)
-    cons = all_congruences(lat, max_size=max_size)
+    cons = all_congruences(lat, max_size, max_count)
     filtered = _in_class(lat, cons, spec)
     members = {_closed_set(lat, theta) for theta in filtered}
     meet = (1 << len(lat.day().joins)) - 1
@@ -306,11 +312,11 @@ def _product_congruence(l1, l2, t1, t2):
     return Congruence(len(l1) * len(l2), itertools.product(t1.block_of, t2.block_of))
 
 
-def verify_theorem3(l1, l2, spec, max_size=12):
+def verify_theorem3(l1, l2, spec, max_size=12, max_count=None):
     """kappa of a product is the product of the factor kappas.
 
-    Also checks, when both factors fit under the enumeration cap, the
-    structural fact behind the equality: every congruence of the product
+    Also checks, when both factors fit under the enumeration cap
+    ``max_size``, the structural fact behind the equality: every congruence of the product
     factors componentwise as t1 x t2 (Fraser and Horn: lattices are
     congruence-distributive).  The check runs on the generators of
     Con(L1 x L2), the congruences con(j_*, j) of its join-irreducibles
@@ -322,7 +328,8 @@ def verify_theorem3(l1, l2, spec, max_size=12):
     (t1 \\/ s1) x (t2 \\/ s2), so when every generator factors, so does
     every join of generators, which is every congruence.  Then t1 x t2
     runs over Con(L1 x L2) without repeats as (t1, t2) runs over
-    Con(L1) x Con(L2), and the note counts the congruences that way.
+    Con(L1) x Con(L2), and the note counts the congruences that way, each
+    factor's list under ``max_count``.
     """
     report = Report("product-kappa", True)
     prod = product(l1, l2)
@@ -342,7 +349,8 @@ def verify_theorem3(l1, l2, spec, max_size=12):
         for theta in join_irreducible_congruences(prod):
             if theta not in factored:
                 report.fail(f"unfactorable product congruence: {theta.render(prod)}")
-        count = len(all_congruences(l1, max_size)) * len(all_congruences(l2, max_size))
+        count = (len(all_congruences(l1, max_size, max_count))
+                 * len(all_congruences(l2, max_size, max_count)))
         report.note(f"factored all {count} product congruences")
     else:
         report.note("factor-wise premise skipped (factors exceed the cap)")

@@ -24,13 +24,9 @@ from latquot import (
     quotient,
 )
 from latquot.congruence import _mask_congruence
-from latquot.core import Lattice
 
+from test_builder_orders import scanned as fresh
 from test_distributive_witness import lattices
-
-
-def fresh(lat):
-    return Lattice(lat.elements, lat.meet_table, lat.join_table)
 
 
 def other_work(lat, pairs):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Lattice, _bits, from_covers, product, restrict, sublattice_closure
+from .core import Lattice, from_covers, product, restrict, sublattice_closure
 from .errors import UnknownLattice, UnsupportedRank
 from .terms import eval_term, parse_term
 
@@ -26,38 +26,13 @@ class NamedLattice:
             self.lattice.index(elem)  # raises UnknownElement on a bad entry
 
 
-def _transpose(masks, width):
-    """The transpose of the bit matrix whose rows are ``masks``: bit i of
-    result j, for j < width, is bit j of ``masks[i]``.  It is read off the
-    rows' binary strings, C-level string work, not a Python step per bit."""
-    rows = [format(mask, f"0{width}b") for mask in reversed(masks)]
-    cols = [int("".join(col), 2) for col in zip(*rows)]  # string index c is bit width-1-c
-    cols.reverse()
-    return cols
-
-
 def _set_lattice(members, names):
     """The bitmasks ``members``, closed under ``&`` and ``|``, ordered by
-    inclusion; ``names[i]`` names ``members[i]``.
-
-    The order is handed to ``Lattice``: the members above a are those that
-    hold every point of a, the AND of ``holding[k]`` over the points k of
-    a.  The AND starts from the members above a without its highest point
-    when that is a member, as in a chain or a Boolean lattice, so that it
-    takes one step; the down-sets are the transpose of the up-sets."""
+    inclusion; ``names[i]`` names ``members[i]``."""
     pos = {m: i for i, m in enumerate(members)}
     meet = [[pos[a & b] for b in members] for a in members]
     join = [[pos[a | b] for b in members] for a in members]
-    holding = _transpose(members, max(members).bit_length() or 1)
-    up_of, everything = {}, (1 << len(members)) - 1
-    for a in sorted(members):
-        top = 1 << a.bit_length() >> 1  # a's highest point, 0 for the empty set
-        rest, above = (top, up_of[a ^ top]) if a ^ top in up_of else (a, everything)
-        for k in _bits(rest):
-            above &= holding[k]
-        up_of[a] = above
-    up = [up_of[a] for a in members]
-    return Lattice(names, meet, join, _order=(_transpose(up, len(members)), up))
+    return Lattice(names, meet, join)
 
 
 def chain(n):

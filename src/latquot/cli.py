@@ -210,9 +210,7 @@ def cmd_check(args):
         for theta in thetas:
             reports.append(verify_theorem2(lat, theta, spec))
     else:
-        # one cap for both factors' lists: the larger factor's
-        count_cap = _count_cap(max(len(lat), len(other)), args)
-        reports.append(verify_theorem3(lat, other, spec, args.max_con, count_cap))
+        reports.append(verify_theorem3(lat, other, spec, args.max_con, args.max_work))
     ok = all(r.ok for r in reports)
     lines = []
     for r in reports:

@@ -3,8 +3,7 @@
 A lattice is stored densely: an ordered tuple of element identifiers and
 total meet/join tables of indices.  The tables are the data; the order is
 derived from the meet table once, at construction, as per-element bitsets,
-unless the builder already holds them (``from_covers``, ``product`` and
-the rings of sets of ``catalog``).
+unless the builder already holds them (``from_covers`` and ``product``).
 All public operations take and return identifiers; indices are internal.
 Instances are immutable after construction.  Each order fact is decided
 in one place: ``from_covers`` closes the order and finds cycles in one

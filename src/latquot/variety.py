@@ -217,16 +217,15 @@ def _in_class(lat, cons, spec):
             if _first_failure(quotient(lat, theta).target, spec.sweeps) is None]
 
 
-def class_filter(lat, spec, max_size=12, max_count=None):
+def class_filter(lat, spec, max_size=12):
     """All congruences whose quotient lies in the class, in the order of
-    ``all_congruences``, under its two caps.  That they are the principal
-    up-set of ``kappa`` is checked by ``verify_theorem1``, not on every
-    call.
+    ``all_congruences``.  That they are the principal up-set of ``kappa``
+    is checked by ``verify_theorem1``, not on every call.
     """
-    return _in_class(lat, all_congruences(lat, max_size, max_count), spec)
+    return _in_class(lat, all_congruences(lat, max_size=max_size), spec)
 
 
-def kappa_oracle(lat, spec, max_size=12, max_count=None):
+def kappa_oracle(lat, spec, max_size=12):
     """kappa by brute force: the meet of ``class_filter``.
 
     The filter is the principal up-set of kappa (Theorem 1), so its meet
@@ -234,7 +233,7 @@ def kappa_oracle(lat, spec, max_size=12, max_count=None):
     every call.  Independent of ``kappa``: it sweeps every quotient, not a
     witness-driven sequence.
     """
-    filtered = class_filter(lat, spec, max_size, max_count)
+    filtered = class_filter(lat, spec, max_size=max_size)
     result = filtered[0]
     for theta in filtered[1:]:
         result = cong_meet(result, theta)
@@ -312,13 +311,13 @@ def _product_congruence(l1, l2, t1, t2):
     return Congruence(len(l1) * len(l2), itertools.product(t1.block_of, t2.block_of))
 
 
-def verify_theorem3(l1, l2, spec, max_size=12, max_count=None):
+def verify_theorem3(l1, l2, spec, max_size=12, max_work=None):
     """kappa of a product is the product of the factor kappas.
 
     Also checks, when both factors fit under the enumeration cap
-    ``max_size``, the structural fact behind the equality: every congruence of the product
-    factors componentwise as t1 x t2 (Fraser and Horn: lattices are
-    congruence-distributive).  The check runs on the generators of
+    ``max_size``, the structural fact behind the equality: every
+    congruence of the product factors componentwise as t1 x t2 (Fraser and
+    Horn: lattices are congruence-distributive).  The check runs on the generators of
     Con(L1 x L2), the congruences con(j_*, j) of its join-irreducibles
     (``join_irreducible_congruences``), and that suffices by two facts.
     The join-irreducibles of L1 x L2 are the (j, 0) and (0, j) for j
@@ -328,8 +327,10 @@ def verify_theorem3(l1, l2, spec, max_size=12, max_count=None):
     (t1 \\/ s1) x (t2 \\/ s2), so when every generator factors, so does
     every join of generators, which is every congruence.  Then t1 x t2
     runs over Con(L1 x L2) without repeats as (t1, t2) runs over
-    Con(L1) x Con(L2), and the note counts the congruences that way, each
-    factor's list under ``max_count``.
+    Con(L1) x Con(L2), and the note counts the congruences that way.
+    Each factor's list is refused, as ``all_congruences`` refuses it, past
+    the max_work // |Li| congruences whose labels fit ``max_work`` (None:
+    no cap).
     """
     report = Report("product-kappa", True)
     prod = product(l1, l2)
@@ -349,8 +350,10 @@ def verify_theorem3(l1, l2, spec, max_size=12, max_count=None):
         for theta in join_irreducible_congruences(prod):
             if theta not in factored:
                 report.fail(f"unfactorable product congruence: {theta.render(prod)}")
-        count = (len(all_congruences(l1, max_size, max_count))
-                 * len(all_congruences(l2, max_size, max_count)))
+        count = 1
+        for factor in (l1, l2):
+            cap = None if max_work is None else max_work // len(factor)
+            count *= len(all_congruences(factor, max_size, cap))
         report.note(f"factored all {count} product congruences")
     else:
         report.note("factor-wise premise skipped (factors exceed the cap)")

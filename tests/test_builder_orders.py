@@ -1,11 +1,11 @@
-"""Builders that hand ``Lattice`` the order they hold, against the n^2 scan.
+"""Builders' orders against the n^2 scan.
 
-``product`` builds each down-set as down1 x down2 by one multiplication,
-and ``catalog._set_lattice`` builds a ring of sets' order from its members'
-points.  ``Lattice(elements, meet, join)`` without ``_order`` derives the
-order from the meet table by an n^2 scan; each builder's ``down`` and
-``up`` must equal the scan's.  ``quotient`` still takes the scan, and its
-order must be L's order on the block minima.
+``product`` hands ``Lattice`` each down-set as down1 x down2, built by one
+multiplication.  ``Lattice(elements, meet, join)`` without ``_order``
+derives the order from the meet table by an n^2 scan; each builder's
+``down`` and ``up`` must equal the scan's.  ``catalog._set_lattice``,
+``restrict`` and ``quotient`` take the scan: a ring of sets' order must be
+inclusion, and L/theta's order L's order on the block minima.
 """
 
 from hypothesis import given, settings

@@ -13,13 +13,10 @@ import time
 import pytest
 
 from latquot import (
-    DISTRIBUTIVE,
     MODULAR,
     all_congruences,
     chain,
-    class_filter,
     free_modular_3,
-    kappa_oracle,
     m3,
     n5,
     product,
@@ -62,13 +59,23 @@ def test_the_join_closure_is_refused_one_congruence_past_the_cap(lat):
 
 def test_the_callers_of_all_congruences_pass_the_count_cap():
     lat = chain(4).lattice  # 8 congruences
-    for call in (lambda cap: class_filter(lat, DISTRIBUTIVE, max_count=cap),
-                 lambda cap: kappa_oracle(lat, MODULAR, max_count=cap),
-                 lambda cap: verify_theorem1(lat, MODULAR, max_count=cap),
-                 lambda cap: verify_theorem3(lat, n5().lattice, MODULAR, max_count=cap)):
-        call(8)
-        with pytest.raises(SizeLimitExceeded):
-            call(7)
+    verify_theorem1(lat, MODULAR, max_count=8)
+    with pytest.raises(SizeLimitExceeded):
+        verify_theorem1(lat, MODULAR, max_count=7)
+
+
+def test_theorem_3_charges_each_factor_its_own_labels():
+    # chain-4: 8 congruences of 4 labels, 32 labels; n5: 5 of 5, 25 labels.
+    # Charged at the larger factor's 5 labels, chain-4's list would be
+    # capped at 6 congruences and refused under 32.
+    l1, l2 = chain(4).lattice, n5().lattice
+    report = verify_theorem3(l1, l2, MODULAR, max_work=32)
+    assert report.ok and report.details == ["factored all 40 product congruences"]
+    with pytest.raises(SizeLimitExceeded, match="8 exceeds the count cap 7"):
+        verify_theorem3(l1, l2, MODULAR, max_work=31)
+    # and n5 at its own 5: 25 labels fit, 24 do not
+    with pytest.raises(SizeLimitExceeded, match="exceeds the count cap 4"):
+        verify_theorem3(chain(2).lattice, l2, MODULAR, max_work=24)
 
 
 def run(capsys, *argv):

@@ -64,6 +64,7 @@ from .variety import (
     satisfies,
     verify_theorem1,
     verify_theorem2,
+    verify_theorem2_each,
     verify_theorem3,
 )
 

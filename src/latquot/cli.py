@@ -26,10 +26,9 @@ from .terms import BUILTIN_CLASSES, parse_identity_file
 from .textfmt import dump_lattice_text, parse_congruence_text, parse_lattice_text, to_dot
 from .variety import (
     charge_kappa,
-    check_work,
     kappa,
     verify_theorem1,
-    verify_theorem2,
+    verify_theorem2_each,
     verify_theorem3,
 )
 
@@ -192,25 +191,21 @@ def cmd_check(args):
         other = load_lattice(args.other)
     elif args.other:
         raise LatticeError(f"check --theorem {args.theorem} takes one lattice")
-    if other:
-        # kappa of the product is the largest kappa theorem 3 runs; charged
-        # as kappa charges it, before the product is built
-        charge_kappa(len(lat) * len(other), spec, args.max_work)
-    else:
-        # theorems 1 and 2 sweep quotients of L with the class's identities
-        check_work(len(lat), spec, args.max_work)
-    reports = []
+    # charged as kappa charges the largest kappa the check runs: of the
+    # product for theorem 3, before it is built, else of L, whose quotients
+    # take the same path (Day's relation for the distributive class, whose
+    # quotients theorem 1 does not sweep)
+    charge_kappa(len(lat) * len(other) if other else len(lat), spec, args.max_work)
     if args.theorem == 1:
-        reports.append(verify_theorem1(lat, spec, args.max_con, _count_cap(len(lat), args)))
+        reports = [verify_theorem1(lat, spec, args.max_con, _count_cap(len(lat), args))]
     elif args.theorem == 2:
         try:
             thetas = _congruences(lat, args)
         except SizeLimitExceeded:
             thetas = join_irreducible_congruences(lat)
-        for theta in thetas:
-            reports.append(verify_theorem2(lat, theta, spec))
+        reports = verify_theorem2_each(lat, thetas, spec)
     else:
-        reports.append(verify_theorem3(lat, other, spec, args.max_con, args.max_work))
+        reports = [verify_theorem3(lat, other, spec, args.max_con, args.max_work)]
     ok = all(r.ok for r in reports)
     lines = []
     for r in reports:
@@ -266,9 +261,9 @@ def _add_max_con(sub):
 _KAPPA_WORK = ("cap on kappa's work: n^2 for the distributive class, else the identity "
                "sweep, the sum of n^k over the identities")
 _BLOCKS_WORK = _KAPPA_WORK + "; for explicit blocks, their check: the sum over blocks B of C(|B|, 2) n"
-_CHECK_WORK = ("cap on the work charged before the check: theorem 3 charges kappa of the "
-               "product as kappa does (n^2 for the distributive class, else the identity sweep); "
-               "theorems 1 and 2 charge the identity sweep of L, the sum of n^k over the identities; "
+_CHECK_WORK = ("cap on the work charged before the check: kappa's charge (n^2 for the "
+               "distributive class, else the identity sweep, the sum of n^k over the identities) "
+               "of the product for theorem 3, of L for theorems 1 and 2; "
                "each list of Con(L) is charged on its own, |Con L| n labels")
 _LIST_WORK = "cap on the list of Con(L): |Con L| n labels"
 

@@ -5,6 +5,13 @@ least congruence whose quotient satisfies every identity; ``delta`` is the
 distributive special case.  ``kappa_oracle`` recomputes the same congruence
 by brute force over the whole congruence lattice, and the ``verify_*``
 functions machine-check the structural facts the construction relies on.
+
+Whether a quotient L/theta lies in the class (``_in_class``) is read off
+theta's D-closed set where it can be: L/theta is distributive iff theta
+lies above delta(L), that is iff delta's set ``day.sources`` lies inside
+theta's set, and a distributive lattice satisfies every identity that the
+2-element chain satisfies (D = HSP(2)).  Only the other quotients are
+built and swept.
 """
 
 from __future__ import annotations
@@ -69,21 +76,14 @@ def _sweep_work(spec, *sizes):
     return sum(size ** len(sweep.names) for sweep in spec.sweeps for size in sizes)
 
 
-def check_work(size, spec, max_work):
-    """Raise SizeLimitExceeded if one full sweep of ``spec`` over ``size``
-    elements (``_sweep_work``) exceeds ``max_work``."""
-    if max_work is None:
-        return
-    work = _sweep_work(spec, size)
-    if work > max_work:
-        raise SizeLimitExceeded(
-            f"identity sweep of {work} assignments exceeds the work cap {max_work}"
-        )
-
-
 # The three lattices that tell whether identities define exactly the
 # distributive class: the 2-element chain, the diamond M3 and the pentagon N5.
 _CHAIN2, _M3, _N5 = chain(2).lattice, m3().lattice, n5().lattice
+
+
+def _holds(small, sweeps):
+    """True iff the lattice ``small`` satisfies every compiled identity."""
+    return all(sweep.first_failure(small) is None for sweep in sweeps)
 
 
 def _defines_distributive(sweeps):
@@ -96,20 +96,46 @@ def _defines_distributive(sweeps):
     lattice without either is distributive (Dedekind, Birkhoff).  The
     converse holds since 2 is distributive and M3, N5 are not.
     """
-    def holds(small):
-        return all(sweep.first_failure(small) is None for sweep in sweeps)
+    return _holds(_CHAIN2, sweeps) and not _holds(_M3, sweeps) and not _holds(_N5, sweeps)
 
-    return holds(_CHAIN2) and not holds(_M3) and not holds(_N5)
+
+class _Verdicts:
+    """What the small lattices tell of one spec, kept on it by ``_verdicts``.
+
+    ``two``: the 2-element chain satisfies the spec, so every distributive
+    lattice does (D = HSP(2)); decided when the record is made, by a sweep
+    of 2 alone.  ``distributive``: the spec defines exactly the
+    distributive class (``_defines_distributive``), None until
+    ``_distributive_verdict`` first asks, since it sweeps M3 and N5 too.
+    """
+
+    __slots__ = ("two", "distributive")
+
+    def __init__(self, sweeps):
+        self.two = _holds(_CHAIN2, sweeps)
+        self.distributive = None
+
+
+def _verdicts(spec):
+    """The ``_Verdicts`` of ``spec``, made on the first call and kept on the
+    spec, in its ``__dict__`` beside the ``sweeps`` it is decided from."""
+    kept = spec.__dict__
+    record = kept.get("_verdicts")
+    if record is None:
+        record = kept["_verdicts"] = _Verdicts(spec.sweeps)
+    return record
 
 
 def _distributive_verdict(spec):
     """``_defines_distributive`` of ``spec``, decided on the first call and
-    kept on the spec, in its ``__dict__`` beside the ``sweeps`` it is
-    decided from."""
-    kept = spec.__dict__
-    if "_defines_distributive" not in kept:
-        kept["_defines_distributive"] = _defines_distributive(spec.sweeps)
-    return kept["_defines_distributive"]
+    kept in its ``_verdicts`` record; a spec that 2 fails is answered
+    False without a further sweep."""
+    # kappa asks on every call: a kept record is one dictionary lookup away
+    record = spec.__dict__.get("_verdicts") or _verdicts(spec)
+    verdict = record.distributive
+    if verdict is None:
+        verdict = record.distributive = record.two and _defines_distributive(spec.sweeps)
+    return verdict
 
 
 def charge_kappa(size, spec, max_work=None):
@@ -122,7 +148,7 @@ def charge_kappa(size, spec, max_work=None):
     sum of 2^k + 2 * 5^k over the k-variable identities, ``_sweep_work``);
     the distributive class is then charged size^2 for Day's relation.  Any
     other spec, and any spec whose classification does not fit, is charged
-    one full sweep of L (``check_work``).  The cap is tested on every call,
+    one full sweep of L (``_sweep_work``).  The cap is tested on every call,
     before a kept verdict is read, so a spec classified by an earlier call
     is charged exactly as a fresh one.
     """
@@ -133,7 +159,8 @@ def charge_kappa(size, spec, max_work=None):
             raise SizeLimitExceeded(
                 f"Day relation over {size ** 2} element pairs exceeds the work cap {max_work}")
         return True
-    check_work(size, spec, max_work)
+    if max_work is not None and (work := _sweep_work(spec, size)) > max_work:
+        raise SizeLimitExceeded(f"identity sweep of {work} assignments exceeds the work cap {max_work}")
     return False
 
 
@@ -212,14 +239,37 @@ def delta(lat):
 
 
 def _in_class(lat, cons, spec):
-    """The members of ``cons`` whose quotient lies in the class, in order."""
-    return [theta for theta in cons
-            if _first_failure(quotient(lat, theta).target, spec.sweeps) is None]
+    """The members of ``cons`` whose quotient lies in the class, in order.
+
+    L has a largest distributive quotient L/delta, and every distributive
+    quotient is a quotient of it, so L/theta is distributive iff
+    theta >= delta, that is iff delta's D-closed set ``day.sources`` lies
+    inside theta's (``_closed_set``).  When 2 satisfies the spec, every
+    such theta is in the class (D = HSP(2)) and no quotient is built.  When
+    the spec defines exactly the distributive class, every other theta is
+    out; that verdict sweeps 2, M3 and N5, so it is asked for only once a
+    non-distributive L/theta, of 5 elements or more, would be swept in its
+    place.  Any other theta's quotient is built and swept.
+    """
+    sources, record = lat.day().sources, _verdicts(spec)
+    members = []
+    for theta in cons:
+        if record.two:
+            if not sources & ~_closed_set(lat, theta):
+                members.append(theta)
+                continue
+            if _distributive_verdict(spec):
+                continue
+        if _first_failure(quotient(lat, theta).target, spec.sweeps) is None:
+            members.append(theta)
+    return members
 
 
 def class_filter(lat, spec, max_size=12):
     """All congruences whose quotient lies in the class, in the order of
-    ``all_congruences``.  That they are the principal up-set of ``kappa``
+    ``all_congruences``, decided by ``_in_class``: only the quotients that
+    are not distributive are built and swept, and none of them for the
+    distributive class.  That they are the principal up-set of ``kappa``
     is checked by ``verify_theorem1``, not on every call.
     """
     return _in_class(lat, all_congruences(lat, max_size=max_size), spec)
@@ -230,8 +280,11 @@ def kappa_oracle(lat, spec, max_size=12):
 
     The filter is the principal up-set of kappa (Theorem 1), so its meet
     is kappa and lies in the filter; ``verify_theorem1`` checks that, not
-    every call.  Independent of ``kappa``: it sweeps every quotient, not a
-    witness-driven sequence.
+    every call.  Independent of ``kappa``'s witness loop: it sweeps every
+    quotient that is not distributive, not a witness-driven sequence.  Its
+    distributive quotients, and for the distributive class its whole
+    answer, are read off ``day.sources``, as ``kappa``'s Day path is; the
+    tests compare that path with a sweep of every quotient.
     """
     filtered = class_filter(lat, spec, max_size=max_size)
     result = filtered[0]
@@ -266,7 +319,10 @@ def verify_theorem1(lat, spec, max_size=12, max_count=None):
     of kappa, since an up-set of the finite Con(L) closed under binary
     meets is the up-set of its meet.  Congruences are D-closed sets here
     (``_closed_set``), ordered by inclusion; m's set is the intersection
-    of the members', started from all of J(L) (the full congruence).
+    of the members', started from all of J(L) (the full congruence).  F is
+    found by ``_in_class``, which builds and sweeps only the quotients
+    that are not distributive, so for the distributive class the check
+    sweeps no quotient, and kappa takes the Day path.
     """
     report = Report("filter-structure", True)
     cons = all_congruences(lat, max_size, max_count)
@@ -287,23 +343,36 @@ def verify_theorem1(lat, spec, max_size=12, max_count=None):
     return report
 
 
-def verify_theorem2(lat, theta, spec):
-    """kappa of L/theta equals the pushforward of kappa(L) joined with theta.
+def verify_theorem2_each(lat, thetas, spec):
+    """kappa of L/theta equals the pushforward of kappa(L) joined with
+    theta, checked for each of ``thetas`` against a single kappa(L): one
+    report each, in order.
 
-    ``theta`` must be a congruence: the join is read as the union of the
-    two D-closed sets (``_closed_set``), which is D-closed again.
+    Each theta must be a congruence: the join is read as the union of the
+    two D-closed sets (``_closed_set``), which is D-closed again.  kappa(L)
+    and its set are computed once, so a list of all of Con(L) costs one
+    kappa of L and one kappa of each quotient.
     """
-    report = Report("quotient-kappa", True)
-    qmap = quotient(lat, theta)
-    lhs = kappa(qmap.target, spec)
-    joined = _closed_set(lat, kappa(lat, spec)) | _closed_set(lat, theta)
-    rhs = push_congruence(qmap, _mask_congruence(lat, joined))
-    if lhs != rhs:
-        report.fail(
-            f"mismatch on quotient by {theta.render(lat)}: "
-            f"direct {lhs.render(qmap.target)} vs pushed {rhs.render(qmap.target)}"
-        )
-    return report
+    kap = _closed_set(lat, kappa(lat, spec))
+    reports = []
+    for theta in thetas:
+        report = Report("quotient-kappa", True)
+        qmap = quotient(lat, theta)
+        lhs = kappa(qmap.target, spec)
+        rhs = push_congruence(qmap, _mask_congruence(lat, kap | _closed_set(lat, theta)))
+        if lhs != rhs:
+            report.fail(
+                f"mismatch on quotient by {theta.render(lat)}: "
+                f"direct {lhs.render(qmap.target)} vs pushed {rhs.render(qmap.target)}"
+            )
+        reports.append(report)
+    return reports
+
+
+def verify_theorem2(lat, theta, spec):
+    """kappa of L/theta equals the pushforward of kappa(L) joined with
+    theta: the one-theta case of ``verify_theorem2_each``."""
+    return verify_theorem2_each(lat, [theta], spec)[0]
 
 
 def _product_congruence(l1, l2, t1, t2):

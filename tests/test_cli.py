@@ -187,6 +187,38 @@ def test_theorem3_fits_the_default_cap_when_kappa_does(capsys):
     assert "theorem 3: PASS (1 check(s))" in out
 
 
+def test_theorems_1_and_2_charge_the_day_relation(capsys):
+    # the distributive class: kappa of the 32-element boolean-5 builds Day's
+    # relation, 32^2 = 1024 element pairs, and theorem 1 sweeps no quotient.
+    # Theorem 1 lists 32 congruences, 32 * 32 = 1024 labels; theorem 2 checks
+    # the 5 generators, as the list is over --max-con, so only Day's charge binds
+    for argv, last in ((("1", "--max-con", "32"), "theorem 1: PASS (1 check(s))"),
+                       (("2",), "theorem 2: PASS (5 check(s))")):
+        check = ("check", "catalog:boolean-5", "--theorem", *argv)
+        code, out, err = run(capsys, *check, "--max-work", "1023")
+        assert code == 3 and out == ""
+        assert "Day relation over 1024 element pairs exceeds the work cap 1023" in err
+        code, out, _ = run(capsys, *check, "--max-work", "1024")
+        assert code == 0
+        assert out.splitlines()[-1] == last
+    # the modular class is charged the sweep of L, 32^3 = 32768
+    code, _, err = run(capsys, "check", "--theorem", "2", "catalog:boolean-5",
+                       "--class", "modular", "--max-work", "32767")
+    assert code == 3
+    assert "identity sweep of 32768 assignments exceeds the work cap 32767" in err
+
+
+def test_theorem1_on_boolean_8_fits_the_default_cap_for_the_distributive_class(capsys):
+    theorem1 = ("check", "--theorem", "1", "catalog:boolean-8", "--max-con", "256")
+    code, out, _ = run(capsys, *theorem1)
+    assert code == 0
+    assert out.splitlines()[-2:] == ["  filter size 256 of 256 congruences",
+                                     "theorem 1: PASS (1 check(s))"]
+    code, out, err = run(capsys, *theorem1, "--class", "modular")
+    assert code == 3 and out == ""
+    assert "identity sweep of 16777216 assignments exceeds the work cap 10000000" in err
+
+
 def test_theorem3_over_the_cap_exits_before_the_product_is_built(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the product was built")

@@ -31,6 +31,7 @@ from latquot import (
     variety,
     verify_theorem1,
     verify_theorem2,
+    verify_theorem2_each,
     verify_theorem3,
 )
 from latquot.errors import SizeLimitExceeded
@@ -365,6 +366,28 @@ def test_theorem2_exhaustive():
             for theta in all_congruences(lat):
                 report = verify_theorem2(lat, theta, spec)
                 assert report.ok, report.details
+
+
+def test_theorem2_over_a_list_asks_kappa_of_l_once(monkeypatch):
+    lat = product(n5().lattice, m3().lattice)
+    cons = all_congruences(lat, 25)
+    for spec in (DISTRIBUTIVE, MODULAR):
+        one_by_one = [verify_theorem2(lat, theta, spec) for theta in cons]
+        real, asked = variety.kappa, []
+
+        def counting(l, spec):
+            asked.append(l)
+            return real(l, spec)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(variety, "kappa", counting)
+            reports = verify_theorem2_each(lat, cons, spec)
+        assert [(r.name, r.ok, r.details) for r in reports] == \
+            [(r.name, r.ok, r.details) for r in one_by_one]
+        assert all(r.ok for r in reports) and len(reports) == 10
+        # kappa of L, then kappa of each of the 10 quotients
+        assert len(asked) == 11 and [l is lat for l in asked].count(True) == 1
+    assert verify_theorem2_each(lat, [], MODULAR) == []
 
 
 def test_theorem3_pairs():
